@@ -72,7 +72,6 @@ def build_parser():
         if scan:
             sp.add_argument("--cap", type=int, default=DEFAULT_SCAN_CAP,
                             help="max subset evaluations for scans")
-            sp.add_argument("--threads", type=int, default=1)
         if out:
             sp.add_argument("--out", default=None,
                             help="write the complex here instead of stdout")
@@ -245,7 +244,7 @@ def cmd_gen(args, argv):
 def cmd_reg(args, argv):
     cpx = load_cplx(args.input)
     rep = sr.regularity(cpx, parse_coeff(args.field), args.method,
-                        cap=args.cap, threads=args.threads)
+                        cap=args.cap)
     report = rep.to_dict()
     report["witness"] = _witness_with_labels(cpx, rep.witness)
     lines = [f"regularity: {rep.value}",
@@ -264,8 +263,7 @@ def cmd_reg(args, argv):
 
 def cmd_betti(args, argv):
     cpx = load_cplx(args.input)
-    table = sr.betti_table(cpx, parse_coeff(args.field), cap=args.cap,
-                           threads=args.threads)
+    table = sr.betti_table(cpx, parse_coeff(args.field), cap=args.cap)
     lines = [f"field: {table.to_dict()['field']}",
              f"reg: {table.reg}",
              f"projdim: {table.projdim}",
@@ -280,7 +278,7 @@ def cmd_index(args, argv):
         value = sr.gl_index(cpx)
     else:
         value = sr.gl_index(cpx, "algebraic", parse_coeff(args.field),
-                            cap=args.cap, threads=args.threads)
+                            cap=args.cap)
     report = {"mode": args.mode, "value": value}
     if args.mode == "algebraic":
         report["field"] = args.field
@@ -299,7 +297,7 @@ def cmd_cm(args, argv):
 
 def cmd_vcd(args, argv):
     cpx = load_cplx(args.input)
-    rep = sr.vcd_nerve(cpx, cap=args.cap, threads=args.threads)
+    rep = sr.vcd_nerve(cpx, cap=args.cap)
     report = rep.to_dict()
     report["witness"] = _witness_with_labels(cpx, rep.witness)
     lines = [f"vcd: {rep.value}"]
@@ -318,8 +316,7 @@ def cmd_vcd(args, argv):
 
 def cmd_claim(args, argv):
     cpx = load_cplx(args.input)
-    rep = sr.cdreg_claim_check(cpx, parse_coeff(args.field), cap=args.cap,
-                               threads=args.threads)
+    rep = sr.cdreg_claim_check(cpx, parse_coeff(args.field), cap=args.cap)
     report = rep.to_dict()
     report["lhs_witness"] = _witness_with_labels(cpx, rep.lhs_witness)
     report["rhs_witness"] = _witness_with_labels(cpx, rep.rhs_witness)

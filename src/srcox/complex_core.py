@@ -87,7 +87,7 @@ def _maximal(masks):
 
 
 class SimplicialComplex:
-    __slots__ = ("n", "facets", "labels", "_faces")
+    __slots__ = ("n", "facets", "labels", "_faces", "_scan")
 
     def __init__(self, n, facets, labels=None):
         facets = tuple(sorted(facets))
@@ -106,6 +106,7 @@ class SimplicialComplex:
         self.facets = facets
         self.labels = labels
         self._faces = None
+        self._scan = None  # integral_subset_scan result, filled on demand
 
     # -- construction ----------------------------------------------------
 
@@ -136,9 +137,6 @@ class SimplicialComplex:
             masks.append(1 << ids[tok])
         labels = tuple(sorted(ids, key=ids.get))
         return cls(len(ids), _maximal(masks), labels)
-
-    def relabeled(self, labels):
-        return SimplicialComplex(self.n, self.facets, labels)
 
     # -- basic queries ---------------------------------------------------
 

@@ -1,17 +1,14 @@
 """Exact matrix arithmetic: SNF over the integers, rank over Q and F_p.
 
-Fast path: int64 kernels from _kernels (jitted when available).  Any
-kernel abort from entry growth falls back to the unbounded-integer
-implementations below, so results are exact for every input.
+Every routine works on lists of Python ints, so no entry can overflow
+and results are exact for every input.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-from .errors import DomainError
+from .errors import DomainError, PropertyViolation
 
 
 class IntMatrix:
@@ -102,7 +99,8 @@ class SnfResult:
         factors = tuple(int(d) for d in invariant_factors)
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
-                raise AssertionError("invariant factors must form a divisibility chain")
+                raise PropertyViolation(
+                    "invariant factors must form a divisibility chain")
         self.invariant_factors = factors
         self.rank = len(factors)
 
@@ -118,11 +116,13 @@ class SnfResult:
 
 
 def _as_rows(M):
+    """A fresh list of row lists of Python ints, which the caller owns
+    and may reduce in place, with the shape."""
     if isinstance(M, IntMatrix):
-        return M.data, M.rows, M.cols
+        return [list(r) for r in M.data], M.rows, M.cols
     if isinstance(M, np.ndarray):
-        return tuple(tuple(int(x) for x in row) for row in M), M.shape[0], M.shape[1]
-    rows = tuple(tuple(int(x) for x in r) for r in M)
+        return M.tolist(), M.shape[0], M.shape[1]
+    rows = [[int(x) for x in r] for r in M]
     return rows, len(rows), (len(rows[0]) if rows else 0)
 
 
@@ -151,62 +151,84 @@ def is_prime(p):
     return True
 
 
-def _snf_python(rows, m, n):
-    """Unbounded-integer SNF diagonal, smallest pivot rule."""
-    A = [list(r) for r in rows]
+def _first_unit(A, t, m):
+    """(i, j) of the first entry of absolute value 1 in A[t:, t:] in
+    row-major order, or None.  Entries left of column t in rows t.. are
+    zero, so searching whole rows finds the same entry."""
+    for i in range(t, m):
+        Ai = A[i]
+        js = [Ai.index(u) for u in (1, -1) if u in Ai]
+        if js:
+            return i, min(js)
+    return None
+
+
+def _snf_python(A, m, n):
+    """Unbounded-integer SNF diagonal of the row lists A, which it
+    reduces in place.  Smallest pivot rule: the pivot is the entry of
+    least absolute value in the remaining submatrix, ties broken by row
+    then column.  A unit is always least, so the search stops at the
+    first one."""
     diag = []
     t = 0
     kmax = min(m, n)
     while t < kmax:
-        bi = bj = -1
-        bv = 0
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                v = abs(Ai[j])
-                if v and (bv == 0 or v < bv):
-                    bi, bj, bv = i, j, v
-        if bi < 0:
-            break
+        hit = _first_unit(A, t, m)
+        if hit is None:
+            bi = bj = -1
+            bv = 0
+            for i in range(t, m):
+                Ai = A[i]
+                for j in range(t, n):
+                    v = Ai[j]
+                    if v and (bv == 0 or -bv < v < bv):
+                        bi, bj, bv = i, j, (v if v > 0 else -v)
+            if bi < 0:
+                break
+        else:
+            bi, bj = hit
         while True:
             if bi != t:
                 A[t], A[bi] = A[bi], A[t]
             if bj != t:
                 for row in A:
                     row[t], row[bj] = row[bj], row[t]
-            if A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-            piv = A[t][t]
-            dirty = False
             At = A[t]
+            if At[t] < 0:
+                At = A[t] = [-x for x in At]
+            piv = At[t]
+            dirty = False
+            # row t is fixed during the row sweep, column t during the
+            # column sweep: only their nonzero positions can change anything
+            cols = [j for j in range(t, n) if At[j]]
             for i in range(t + 1, m):
                 Ai = A[i]
                 if Ai[t]:
                     q = Ai[t] // piv
                     if q:
-                        for j in range(t, n):
+                        for j in cols:
                             Ai[j] -= q * At[j]
                     if Ai[t]:
                         dirty = True
-            for j in range(t + 1, n):
+            col_rows = [A[i] for i in range(t, m) if A[i][t]]
+            for j in cols[1:]:
+                q = At[j] // piv
+                if q:
+                    for Ai in col_rows:
+                        Ai[j] -= q * Ai[t]
                 if At[j]:
-                    q = At[j] // piv
-                    if q:
-                        for i in range(t, m):
-                            A[i][j] -= q * A[i][t]
-                    if At[j]:
-                        dirty = True
+                    dirty = True
             if not dirty:
                 break
             bi, bj, bv = t, t, piv
             for i in range(t + 1, m):
-                v = abs(A[i][t])
-                if v and v < bv:
-                    bi, bj, bv = i, t, v
+                v = A[i][t]
+                if v and -bv < v < bv:
+                    bi, bj, bv = i, t, (v if v > 0 else -v)
             for j in range(t + 1, n):
-                v = abs(A[t][j])
-                if v and v < bv:
-                    bi, bj, bv = t, j, v
+                v = At[j]
+                if v and -bv < v < bv:
+                    bi, bj, bv = t, j, (v if v > 0 else -v)
         diag.append(A[t][t])
         t += 1
     changed = True
@@ -226,17 +248,14 @@ def smith_normal_form(M):
     rows, m, n = _as_rows(M)
     if m == 0 or n == 0:
         return SnfResult(())
-    big = max(abs(x) for r in rows for x in r)
-    if big <= _kernels.ENTRY_LIMIT:
-        arr = np.array(rows, dtype=np.int64)
-        diag, k, ok = _kernels.snf_diag(arr)
-        if ok:
-            return SnfResult(tuple(int(d) for d in diag[:k]))
     return SnfResult(_snf_python(rows, m, n))
 
 
-def _rank_fraction(rows, m, n):
-    A = [[Fraction(x) for x in r] for r in rows]
+def _rank_bareiss(A, m, n):
+    """Rank over the rationals by fraction-free elimination of the row
+    lists A, in place: after each step every entry is a minor of the
+    input, so the division by the previous pivot is exact."""
+    prev = 1
     rank = 0
     for col in range(n):
         piv = -1
@@ -247,14 +266,15 @@ def _rank_fraction(rows, m, n):
         if piv < 0:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][col]
+        Ar = A[rank]
+        pv = Ar[col]
         for i in range(rank + 1, m):
-            f = A[i][col] * inv
-            if f:
-                Ar = A[rank]
-                Ai = A[i]
-                for j in range(col, n):
-                    Ai[j] -= f * Ar[j]
+            Ai = A[i]
+            a = Ai[col]
+            for j in range(col + 1, n):
+                Ai[j] = (Ai[j] * pv - a * Ar[j]) // prev
+            Ai[col] = 0
+        prev = pv
         rank += 1
         if rank == m:
             break
@@ -293,16 +313,8 @@ def rank(M, coeff="q"):
     if m == 0 or n == 0:
         return 0
     if coeff == "q":
-        big = max(abs(x) for r in rows for x in r)
-        if big <= _kernels.ENTRY_LIMIT:
-            r, ok = _kernels.bareiss_rank(np.array(rows, dtype=np.int64))
-            if ok:
-                return int(r)
-        return _rank_fraction(rows, m, n)
+        return _rank_bareiss(rows, m, n)
     p = int(coeff)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    big = max(abs(x) for r in rows for x in r)
-    if p < (1 << 31) and big < (1 << 62):
-        return int(_kernels.rank_modp(np.array(rows, dtype=np.int64), p))
     return _rank_modp_python(rows, m, n, p)

@@ -10,12 +10,10 @@ Degrees are reduced: the empty face lives in degree -1, so the complex
 none anywhere.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .complex_core import FACE_BUDGET, SimplicialComplex, bits_of
-from .errors import DomainError, ResourceError
+from .errors import DomainError, PropertyViolation, ResourceError
 from .exact_linalg import is_prime, rank, smith_normal_form
 
 DEFAULT_SCAN_CAP = 1 << 22
@@ -92,17 +90,17 @@ def _integral_entries(face_masks):
             for r in range(d + 1)]
     bd_rank = [0] + [s.rank for s in snfs] + [0]  # index r+1 holds rank of d_r
     entries = []
-    euler_faces = -1
-    euler_hom = 0
     for r in range(-1, d + 1):
         rk = fvec[r + 1] - bd_rank[r + 1] - bd_rank[r + 2]
+        # d_r d_{r+1} = 0 puts the image of d_{r+1} inside the kernel of
+        # d_r, so no rank can come out negative
+        if rk < 0:
+            raise PropertyViolation(
+                f"boundary ranks {bd_rank[r + 1]} and {bd_rank[r + 2]} "
+                f"exceed the {fvec[r + 1]} faces of degree {r}")
         tors = snfs[r + 1].torsion() if r + 1 <= d else ()
-        euler_faces += (fvec[r + 1] if r >= 0 else 0) * (1 if r % 2 == 0 else -1)
-        euler_hom += rk * (1 if r % 2 == 0 else -1)
         if rk or tors:
             entries.append((r, rk, tors))
-    # reduced Euler characteristic must agree with the alternating rank sum
-    assert euler_faces == euler_hom, (euler_faces, euler_hom)
     return tuple(entries)
 
 
@@ -226,20 +224,6 @@ def entry_field_dim(entry, deg, coeff):
     return rk + below + above
 
 
-def entry_hom_nonzero(entry, deg, coeff):
-    if coeff == "z":
-        return entry_rank(entry, deg) > 0 or bool(entry_torsion(entry, deg))
-    return entry_field_dim(entry, deg, coeff) > 0
-
-
-def entry_coh_nonzero(entry, deg, coeff):
-    """Cohomology at deg is nonzero; over Z that means free rank at deg
-    or torsion one degree down."""
-    if coeff == "z":
-        return entry_rank(entry, deg) > 0 or bool(entry_torsion(entry, deg - 1))
-    return entry_field_dim(entry, deg, coeff) > 0
-
-
 def entry_coh_degrees(entry, coeff):
     degs = set()
     if coeff == "z":
@@ -349,17 +333,12 @@ def facet_nerve(facet_masks):
 
 # -- full scan over induced subcomplexes ---------------------------------
 
-_SCAN_CACHE = {}
-
-
-def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP, threads=1):
+def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP):
     """Integral homology entries of every induced subcomplex, indexed by
-    the vertex-subset bitmask.  One Smith pass per subset; results are
-    cached on the complex identity."""
-    key = (cpx.n, cpx.facets)
-    hit = _SCAN_CACHE.get(key)
-    if hit is not None:
-        return hit
+    the vertex-subset bitmask.  One Smith pass per subset; the result is
+    kept on the complex object and dies with it."""
+    if cpx._scan is not None:
+        return cpx._scan
     total = 1 << cpx.n
     if total > cap:
         raise ResourceError(
@@ -367,33 +346,24 @@ def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP, threads=1):
     faces_arr = np.array([f for f in cpx.faces() if f], dtype=np.int64)
     facets = cpx.facets
     out = [None] * total
-
-    def run(lo, hi):
-        for A in range(lo, hi):
-            cands = [f & A for f in facets]
-            nz = [c for c in cands if c]
-            if not nz:
-                out[A] = ((-1, 1, ()),) if facets else ()
-                continue
-            common = nz[0]
-            for c in nz[1:]:
-                common &= c
-            if common:
-                out[A] = ()
-                continue
-            sub = faces_arr[(faces_arr & ~np.int64(A)) == 0]
-            out[A] = _integral_entries([int(x) for x in sub])
-
-    if threads <= 1 or total < 64:
-        run(0, total)
-    else:
-        step = (total + threads - 1) // threads
-        spans = [(i, min(i + step, total)) for i in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: run(*s), spans))
-    result = tuple(out)
-    _SCAN_CACHE[key] = result
-    return result
+    shared = {}  # few distinct entries: hold each one once
+    for A in range(total):
+        cands = [f & A for f in facets]
+        nz = [c for c in cands if c]
+        if not nz:
+            out[A] = ((-1, 1, ()),) if facets else ()
+            continue
+        common = nz[0]
+        for c in nz[1:]:
+            common &= c
+        if common:
+            out[A] = ()
+            continue
+        sub = faces_arr[(faces_arr & ~np.int64(A)) == 0]
+        entry = _integral_entries(sub.tolist())
+        out[A] = shared.setdefault(entry, entry)
+    cpx._scan = tuple(out)
+    return cpx._scan
 
 
 def scan_torsion_primes(scan):

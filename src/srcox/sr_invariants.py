@@ -94,13 +94,13 @@ class BettiTable:
         return f"BettiTable({coeff_name(self.field)}, {self.entries})"
 
 
-def betti_table(cpx, coeff="q", cap=DEFAULT_SCAN_CAP, threads=1):
+def betti_table(cpx, coeff="q", cap=DEFAULT_SCAN_CAP):
     """Graded Betti numbers by summing cohomology dimensions of induced
     subcomplexes over all vertex subsets."""
     coeff = _field(coeff)
     if cpx.is_void():
         raise DomainError("the zero ring has no Betti table")
-    scan = integral_subset_scan(cpx, cap, threads)
+    scan = integral_subset_scan(cpx, cap)
     table = {}
     for A, entry in enumerate(scan):
         if not entry:
@@ -182,15 +182,14 @@ def link_candidates(cpx, cap=CANDIDATE_CAP):
 
 
 def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,
-               threads=1, face_budget=None):
+               face_budget=None):
     """Regularity as the largest i with nonzero (i-1)-st cohomology of
     an induced subcomplex (method induced) or of a face link (links)."""
     coeff = _field(coeff)
     if cpx.is_void():
         return RegularityReport(0, method, None, coeff, void=True)
     if method == "induced":
-        best, wit = _reg_from_scan(integral_subset_scan(cpx, cap, threads),
-                                   coeff)
+        best, wit = _reg_from_scan(integral_subset_scan(cpx, cap), coeff)
         witness = {"subset": bits_of(wit[0]), "degree": wit[1]}
         return RegularityReport(best, "induced", witness, coeff)
     if method != "links":
@@ -229,8 +228,7 @@ def verify_regularity_witness(cpx, report):
 
 # -- Green-Lazarsfeld index ----------------------------------------------
 
-def gl_index(cpx, mode="combinatorial", coeff="q", cap=DEFAULT_SCAN_CAP,
-             threads=1):
+def gl_index(cpx, mode="combinatorial", coeff="q", cap=DEFAULT_SCAN_CAP):
     """Largest p such that the resolution is linear through step p;
     infinity for a linear resolution, 0 when the first syzygies already
     break linearity (non-flag complexes)."""
@@ -238,7 +236,7 @@ def gl_index(cpx, mode="combinatorial", coeff="q", cap=DEFAULT_SCAN_CAP,
         return cpx.largeness().gl_index()
     if mode != "algebraic":
         raise DomainError(f"unknown gl_index mode {mode!r}")
-    return betti_table(cpx, coeff, cap, threads).linear_index()
+    return betti_table(cpx, coeff, cap).linear_index()
 
 
 # -- Cohen-Macaulayness --------------------------------------------------
@@ -287,13 +285,13 @@ class VcdReport:
         return f"VcdReport({self.value}, reg_by_char={self.reg_by_char})"
 
 
-def vcd_nerve(cpx, cap=DEFAULT_SCAN_CAP, threads=1):
+def vcd_nerve(cpx, cap=DEFAULT_SCAN_CAP):
     """vcd of the right-angled reflection group whose nerve is the given
     complex: scan complements of faces for integral cohomology, and
     regularity in characteristic 0 and every detected torsion prime."""
     if cpx.is_void():
         raise DomainError("the void complex is not a nerve")
-    scan = integral_subset_scan(cpx, cap, threads)
+    scan = integral_subset_scan(cpx, cap)
     full = (1 << cpx.n) - 1
     value = None
     witness = None
@@ -341,13 +339,13 @@ class ClaimReport:
         }
 
 
-def cdreg_claim_check(cpx, coeff="z", cap=DEFAULT_SCAN_CAP, threads=1):
+def cdreg_claim_check(cpx, coeff="z", cap=DEFAULT_SCAN_CAP):
     """Compare the top cohomology degree (in degrees >= 0) over
     complements of faces against the top over all vertex subsets."""
     coeff = parse_coeff(coeff)
     if cpx.is_void():
         raise DomainError("claim check needs a nonvoid complex")
-    scan = integral_subset_scan(cpx, cap, threads)
+    scan = integral_subset_scan(cpx, cap)
     full = (1 << cpx.n) - 1
 
     def top_nonneg(entry):

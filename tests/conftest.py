@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from srcox import _kernels
 from srcox.complex_core import (
     SimplicialComplex,
     gen_cross_polytope,
@@ -18,12 +17,6 @@ settings.register_profile(
     "ci", deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # jit compilation happens once here, not inside a timed test
-    _kernels.warmup()
 
 
 @pytest.fixture

@@ -70,14 +70,6 @@ def test_reg_text(capsys, pent_file):
     assert code == 0 and "regularity: 2" in out
 
 
-def test_threads_flag_same_report(capsys, rp2_file):
-    argv = ["betti", rp2_file, "--format", "json"]
-    _, _, base = jrun(capsys, argv)
-    code, out, _ = run(capsys, argv + ["--threads", "4"])
-    got = json.loads(out)["report"]
-    assert got == json.loads(base)["report"]
-
-
 def test_betti_grid(capsys, pent_file):
     code, out, _ = run(capsys, ["betti", pent_file])
     assert code == 0 and "projdim: 3" in out

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import oracle_rank_fraction, oracle_rank_modp, oracle_snf
-from srcox.errors import DomainError
-from srcox.exact_linalg import IntMatrix, is_prime, rank, smith_normal_form
+from srcox.errors import DomainError, PropertyViolation
+from srcox.exact_linalg import (
+    IntMatrix,
+    SnfResult,
+    is_prime,
+    rank,
+    smith_normal_form,
+)
 
 entries = st.integers(min_value=-30, max_value=30)
 small_matrix = st.integers(1, 5).flatmap(
@@ -91,6 +97,12 @@ def test_snf_result_reports():
     assert res.torsion() == (2,)
     assert res.rank_mod(2) == 0
     assert res.rank_mod(3) == 1
+
+
+def test_snf_result_rejects_broken_chain():
+    # a raised error, not an assert, so python -O keeps the check
+    with pytest.raises(PropertyViolation):
+        SnfResult((2, 3))
 
 
 def test_intmatrix_ops():

@@ -20,7 +20,9 @@ from srcox.complex_core import (
     mask_of,
     bits_of,
 )
-from srcox.errors import DomainError, ResourceError
+from srcox import homology
+from srcox.errors import DomainError, PropertyViolation, ResourceError
+from srcox.exact_linalg import SnfResult
 from srcox.homology import (
     _faces_by_dim,
     boundary_matrix,
@@ -194,11 +196,30 @@ def test_scan_agrees_with_direct(cpx):
         assert got == want
 
 
-def test_scan_threads_identical(rp2):
-    a = integral_subset_scan(rp2, threads=1)
-    b = integral_subset_scan(rp2, threads=4)
-    assert a == b
-    assert scan_torsion_primes(a) == (2,)
+def test_scan_torsion_primes_rp2(rp2):
+    assert scan_torsion_primes(integral_subset_scan(rp2)) == (2,)
+
+
+def test_scan_kept_per_complex_object(rp2):
+    a = integral_subset_scan(rp2)
+    assert integral_subset_scan(rp2) is a
+    # an equal complex built separately computes its own, equal scan
+    twin = SimplicialComplex(rp2.n, rp2.facets)
+    b = integral_subset_scan(twin)
+    assert b == a and b is not a
+
+
+def test_boundary_rank_too_large_raises(monkeypatch, pentagon):
+    # a Smith form that reports one rank too many leaves a negative
+    # homology rank, which must raise even under python -O
+    real = homology.smith_normal_form
+
+    def one_too_many(M):
+        return SnfResult((1,) + real(M).invariant_factors)
+
+    monkeypatch.setattr(homology, "smith_normal_form", one_too_many)
+    with pytest.raises(PropertyViolation):
+        reduced_homology(pentagon, "z")
 
 
 def test_scan_cap():

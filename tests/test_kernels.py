@@ -1,83 +1,96 @@
-"""The jit-compiled kernels and their pure-python twins must agree."""
+"""The exact SNF and rank routines against the naive oracles.
+
+The active path is `exact_linalg.smith_normal_form` and `rank`; the
+reference is the pure-Python textbook code in oracles.py.  Entries run
+up to 2^70, far past int64, and the shapes include matrices whose first
+unit entry is not in the first row, where the pivot search ends early.
+"""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from oracles import oracle_rank_fraction, oracle_rank_modp, oracle_snf
-from srcox import _kernels
+from srcox.exact_linalg import rank, smith_normal_form
 
-entries = st.integers(min_value=-20, max_value=20)
-arrays = st.integers(1, 5).flatmap(
-    lambda m: st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(entries, min_size=n, max_size=n),
-            min_size=m, max_size=m)))
+BIG = 1 << 70
 
 
-def _np(rows):
-    return np.array(rows, dtype=np.int64)
+def _matrices(entries):
+    return st.integers(1, 5).flatmap(
+        lambda m: st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(entries, min_size=n, max_size=n),
+                min_size=m, max_size=m)))
 
 
-@given(arrays)
+small = st.integers(min_value=-20, max_value=20)
+huge = st.one_of(small, st.integers(min_value=-BIG, max_value=BIG))
+arrays = st.one_of(_matrices(small), _matrices(huge))
+
+
+@st.composite
+def unit_below_first_row(draw):
+    """A first row free of units above rows that hold some."""
+    rows = draw(_matrices(st.sampled_from([-6, -4, -3, -2, 0, 2, 3, 4, 6])))
+    rest = draw(st.lists(
+        st.lists(st.sampled_from([-1, 0, 1, 2, -3]),
+                 min_size=len(rows[0]), max_size=len(rows[0])),
+        min_size=1, max_size=4))
+    return rows[:1] + rest + rows[1:]
+
+
+matrices = st.one_of(arrays, unit_below_first_row())
+
+
+@given(matrices)
 def test_snf_diag_active_vs_python(rows):
-    diag1, k1, ok1 = _kernels.snf_diag(_np(rows))
-    diag2, k2, ok2 = _kernels._snf_diag(_np(rows))
-    assert ok1 == ok2 == 1
-    assert k1 == k2
-    assert list(diag1[:k1]) == list(diag2[:k2])
+    assert list(smith_normal_form(rows).invariant_factors) == \
+        list(oracle_snf(rows))
 
 
-@given(arrays)
+@given(matrices)
 def test_snf_diag_elementary_divisors(rows):
-    # after the divisibility fixup in the caller the diagonal matches the
-    # oracle; here just check the multiset of prime powers is right
-    diag, k, ok = _kernels.snf_diag(_np(rows))
-    assert ok == 1
-    prod = 1
-    for d in diag[:k]:
-        prod *= int(d)
+    # the product of the invariant factors is the gcd-free part the
+    # oracle finds; numpy input takes the same path as lists
+    if max(abs(x) for r in rows for x in r) < 1 << 62:
+        res = smith_normal_form(np.array(rows, dtype=np.int64))
+    else:
+        res = smith_normal_form(rows)
     oracle = oracle_snf(rows)
-    oprod = 1
+    prod = oprod = 1
+    for d in res.invariant_factors:
+        prod *= d
     for d in oracle:
         oprod *= d
-    assert k == len(oracle)
-    assert abs(prod) == oprod
+    assert res.rank == len(oracle)
+    assert prod == oprod
 
 
-@given(arrays, st.sampled_from([2, 3, 5]))
+@given(matrices, st.sampled_from([2, 3, 5]))
 def test_rank_modp_active_vs_python(rows, p):
-    assert _kernels.rank_modp(_np(rows), p) == \
-        _kernels._rank_modp(_np(rows), p) == oracle_rank_modp(rows, p)
+    assert rank(rows, p) == oracle_rank_modp(rows, p)
 
 
-@given(arrays)
+@given(matrices)
 def test_bareiss_active_vs_python(rows):
-    r1, ok1 = _kernels.bareiss_rank(_np(rows))
-    r2, ok2 = _kernels._bareiss_rank(_np(rows))
-    assert ok1 == ok2 == 1
-    assert r1 == r2 == oracle_rank_fraction(rows)
+    assert rank(rows, "q") == oracle_rank_fraction(rows)
 
 
-def test_snf_overflow_abort():
-    # a matrix whose reduction blows past the entry limit must abort
-    # cleanly instead of wrapping around
-    big = _kernels.ENTRY_LIMIT
-    A = _np([[big, big - 1], [big - 1, big - 3]])
-    diag, k, ok = _kernels.snf_diag(A.copy())
-    if ok:  # reduction may finish before the bound trips; then it is exact
-        fac = [int(d) for d in diag[:k]]
-        prod = 1
-        for d in fac:
-            prod *= d
-        assert abs(prod) == abs(big * (big - 3) - (big - 1) ** 2)
-    else:
-        assert ok == 0
+def test_snf_entries_past_int64():
+    # an elimination whose entries leave int64 must still be exact
+    big = 1 << 30
+    rows = [[big, big - 1], [big - 1, big - 3]]
+    fac = smith_normal_form(rows).invariant_factors
+    assert list(fac) == list(oracle_snf(rows))
+    assert fac[0] * fac[1] == abs(big * (big - 3) - (big - 1) ** 2)
+    rows = [[BIG + 1, BIG], [BIG, BIG - 1], [3, 1 << 69]]
+    assert list(smith_normal_form(rows).invariant_factors) == \
+        list(oracle_snf(rows))
 
 
-def test_bareiss_overflow_abort():
-    big = _kernels.ENTRY_LIMIT
-    A = _np([[big, big - 1, 1], [big - 1, big - 3, 2], [1, 2, big]])
-    r, ok = _kernels.bareiss_rank(A)
-    assert ok in (0, 1)
-    if ok:
-        assert r == oracle_rank_fraction(A.tolist())
+def test_bareiss_entries_past_int64():
+    big = 1 << 30
+    rows = [[big, big - 1, 1], [big - 1, big - 3, 2], [1, 2, big]]
+    assert rank(rows, "q") == oracle_rank_fraction(rows) == 3
+    rows = [[BIG, BIG + 1, 1], [2 * BIG, 2 * BIG + 2, 2], [1, 1, 0]]
+    assert rank(rows, "q") == oracle_rank_fraction(rows)

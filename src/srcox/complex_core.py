@@ -36,6 +36,15 @@ def bits_of(mask):
     return out
 
 
+def sort_faces(masks):
+    """The masks as a list in (size, vertex tuple) order."""
+    # bin(m)[:1:-1] lists the bits from vertex 0 up; among faces of one
+    # size, the earlier vertex tuple has the larger such string
+    out = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+    out.sort(key=int.bit_count)
+    return out
+
+
 class Face:
     """A face as a sorted duplicate-free vertex list."""
 
@@ -191,8 +200,7 @@ class SimplicialComplex:
                 raise ResourceError(
                     f"face enumeration exceeded budget of {budget} faces")
         seen.add(0)
-        self._faces = tuple(
-            sorted(seen, key=lambda x: (bin(x).count("1"), tuple(bits_of(x)))))
+        self._faces = tuple(sort_faces(seen))
         return self._faces
 
     def f_vector(self):

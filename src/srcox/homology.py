@@ -12,7 +12,7 @@ none anywhere.
 
 import numpy as np
 
-from .complex_core import FACE_BUDGET, SimplicialComplex, bits_of
+from .complex_core import FACE_BUDGET, SimplicialComplex, bits_of, sort_faces
 from .errors import DomainError, PropertyViolation, ResourceError
 from .exact_linalg import is_prime, rank, smith_normal_form
 
@@ -40,21 +40,18 @@ def coeff_name(coeff):
     return coeff if isinstance(coeff, str) else f"f{coeff}"
 
 
-def _bits_key(mask):
-    return tuple(bits_of(mask))
-
-
 def _faces_by_dim(face_masks):
-    """Group nonempty face masks by dimension, each level sorted
-    lexicographically on its vertex tuple."""
-    levels = {}
+    """Group face masks, given in (size, vertex tuple) order, by
+    dimension; the empty face is dropped."""
+    levels = []
     for m in face_masks:
-        levels.setdefault(bin(m).count("1") - 1, []).append(m)
-    top = max(levels)
-    out = []
-    for r in range(top + 1):
-        out.append(sorted(levels.get(r, ()), key=_bits_key))
-    return out
+        r = m.bit_count() - 1
+        if r < 0:
+            continue
+        while len(levels) <= r:
+            levels.append([])
+        levels[r].append(m)
+    return levels
 
 
 def boundary_matrix(levels, r):
@@ -73,8 +70,13 @@ def boundary_matrix(levels, r):
     row_index = {m: i for i, m in enumerate(levels[r - 1])}
     A = np.zeros((len(row_index), len(cols)), dtype=np.int64)
     for j, f in enumerate(cols):
-        for t, v in enumerate(bits_of(f)):
-            A[row_index[f ^ (1 << v)], j] = -1 if t & 1 else 1
+        sign = 1
+        rest = f
+        while rest:
+            b = rest & -rest
+            A[row_index[f ^ b], j] = sign
+            sign = -sign
+            rest ^= b
     return A
 
 
@@ -270,6 +272,7 @@ def _prime_factors(x):
 # -- homology straight from facet masks, with one nerve fallback ---------
 
 def _close_masks(facet_masks, budget):
+    """Nonempty faces of the given facets, in (size, vertex tuple) order."""
     est = sum(1 << bin(m).count("1") for m in set(facet_masks))
     if est > budget:
         raise ResourceError(
@@ -283,7 +286,7 @@ def _close_masks(facet_masks, budget):
                 break
             sub = (sub - 1) & f
     faces.discard(0)
-    return faces
+    return sort_faces(faces)
 
 
 def profile_from_facets(facet_masks, face_budget=FACE_BUDGET, allow_nerve=True):
@@ -333,31 +336,62 @@ def facet_nerve(facet_masks):
 
 # -- full scan over induced subcomplexes ---------------------------------
 
+def _dominated_bit(facets, A):
+    """Bit of a vertex of A that is dominated in the induced subcomplex
+    K_A, or 0 when no vertex is.
+
+    v is dominated when another vertex lies in every facet of K_A
+    through v; deleting it is a strong collapse (Barmak-Minian), so K_A
+    and K_{A - v} have the same integral homology.  A vertex of A in no
+    face of K_A counts as dominated by any other vertex of A.  The
+    facets of K_A are the maximal restrictions f & A: meeting the raw
+    restrictions would stay sound but miss most dominations."""
+    tops = []
+    # a proper superset is the larger number, so it is met first
+    for r in sorted({f & A for f in facets}, reverse=True):
+        for t in tops:
+            if r & t == r:
+                break
+        else:
+            tops.append(r)
+    rest = A
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        meet = A
+        for t in tops:
+            if t & b:
+                meet &= t
+        if meet != b:
+            return b
+    return 0
+
+
 def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP):
     """Integral homology entries of every induced subcomplex, indexed by
-    the vertex-subset bitmask.  One Smith pass per subset; the result is
-    kept on the complex object and dies with it."""
+    the vertex-subset bitmask.  A subset with a dominated vertex copies
+    the entry of the smaller subset without it; only the rest get a
+    Smith pass.  The result is kept on the complex object and dies with
+    it."""
     if cpx._scan is not None:
         return cpx._scan
     total = 1 << cpx.n
     if total > cap:
         raise ResourceError(
             f"subset scan needs {total} evaluations, cap is {cap}")
-    faces_arr = np.array([f for f in cpx.faces() if f], dtype=np.int64)
     facets = cpx.facets
+    if not facets:
+        cpx._scan = ((),) * total
+        return cpx._scan
+    faces_arr = np.array([f for f in cpx.faces() if f], dtype=np.int64)
     out = [None] * total
+    out[0] = ((-1, 1, ()),)
     shared = {}  # few distinct entries: hold each one once
-    for A in range(total):
-        cands = [f & A for f in facets]
-        nz = [c for c in cands if c]
-        if not nz:
-            out[A] = ((-1, 1, ()),) if facets else ()
-            continue
-        common = nz[0]
-        for c in nz[1:]:
-            common &= c
-        if common:
-            out[A] = ()
+    for A in range(1, total):
+        v = _dominated_bit(facets, A)
+        if v:
+            # A ^ v < A, so the ascending loop has filled it already
+            out[A] = out[A ^ v]
             continue
         sub = faces_arr[(faces_arr & ~np.int64(A)) == 0]
         entry = _integral_entries(sub.tolist())

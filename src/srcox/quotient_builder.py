@@ -319,11 +319,18 @@ def s_construction(delta, k, m=None, ball_budget=DEFAULT_BALL_BUDGET,
                 link_ok = False
                 break
     largeness_ok = out.largeness().is_k_large(k)
+    failed = [name for name, ok in (("vertex link check", link_ok),
+                                    (f"{k}-largeness check", largeness_ok),
+                                    ("coset size check",
+                                     quotient.coset_sizes_ok)) if not ok]
     cert = ConstructionCertificate(
         k, m, "CERTIFIED", torsion_free=True, link_check=link_ok,
         largeness_ok=largeness_ok, sampled_vertices=sampled,
         link_hashes=hashes, group_order=order,
-        detail=search.detail, emitted=True)
-    if not quotient.coset_sizes_ok:
-        cert.detail = (cert.detail or "") + "; coset size anomaly recorded"
+        detail=search.detail, emitted=not failed)
+    if failed:
+        # the certificate has no coset field, so its detail names them all
+        cert.detail = (cert.detail or "") + "; failed: " + ", ".join(failed)
+        raise ConstructionRejected(
+            f"mod {m} quotient failed the {', '.join(failed)}", cert)
     return out, cert

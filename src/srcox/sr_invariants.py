@@ -13,7 +13,7 @@ appear only in display fields.
 import math
 from fractions import Fraction
 
-from .complex_core import INF, SimplicialComplex, bits_of
+from .complex_core import INF, SimplicialComplex, bits_of, sort_faces
 from .errors import DomainError, ResourceError
 from .homology import (
     DEFAULT_SCAN_CAP,
@@ -178,7 +178,7 @@ def link_candidates(cpx, cap=CANDIDATE_CAP):
                 meet = f if meet is None else meet & f
         if meet == g:
             out.append(g)
-    return sorted(out, key=lambda m: (bin(m).count("1"), tuple(bits_of(m))))
+    return sort_faces(out)
 
 
 def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from srcox import quotient_builder as qb
 from srcox.cli import main
 
 
@@ -200,3 +201,18 @@ def test_argparse_behavior(capsys):
     capsys.readouterr()
     assert main(["reg"]) == 2
     capsys.readouterr()
+
+
+def test_construct_failed_check_exits_4(capsys, monkeypatch, two_file):
+    real = qb.quotient_complex
+
+    def drop_last_cell(rep, group):
+        q = real(rep, group)
+        return qb.QuotientComplex(q.group, q.cells[:-1], q.coset_sizes_ok)
+
+    monkeypatch.setattr(qb, "quotient_complex", drop_last_cell)
+    code, env, _ = jrun(capsys, ["construct", two_file, "--k", "4",
+                                 "--mod", "5", "--format", "json"])
+    assert code == 4
+    cert = env["report"]["certificate"]
+    assert cert["link_check"] is False and cert["emitted"] is False

@@ -12,6 +12,7 @@ from oracles import (
 )
 from srcox.complex_core import (
     SimplicialComplex,
+    gen_boundary_simplex,
     gen_cross_polytope,
     gen_cycle,
     gen_random_flag,
@@ -235,3 +236,54 @@ def test_profile_coeff_mismatch(pentagon):
         prof.dim_over(1, 3)
     # field profiles answer rank_at with the field dimension
     assert prof.rank_at(1) == 1 and prof.torsion_at(1) == ()
+
+
+def _assert_scan_matches_direct(cpx):
+    scan = integral_subset_scan(cpx)
+    for A in range(1 << cpx.n):
+        assert scan[A] == reduced_homology(cpx.induced(bits_of(A)), "z").entries
+    return scan
+
+
+def test_scan_agrees_with_direct_non_flag():
+    # the hollow triangle is where a closed-neighbourhood test on the
+    # 1-skeleton would wrongly collapse the full subset
+    scan = _assert_scan_matches_direct(gen_boundary_simplex(2))
+    assert scan[0b111] == ((1, 1, ()),)
+    scan = _assert_scan_matches_direct(gen_boundary_simplex(3))
+    assert scan[0b1111] == ((2, 1, ()),)
+    scan = _assert_scan_matches_direct(gen_rp2_six())
+    assert scan[(1 << 6) - 1] == ((1, 0, (2,)),)
+    _assert_scan_matches_direct(gen_cross_polytope(3))
+    # vertex 3 lies in no facet, so it is no vertex of any K_A
+    lone = SimplicialComplex(4, [0b0011, 0b0110])
+    scan = _assert_scan_matches_direct(lone)
+    assert scan[0b1000] == ((-1, 1, ()),) and scan[0b1001] == ()
+
+
+@given(random_flags)
+def test_scan_agrees_with_direct_on_duals(cpx):
+    _assert_scan_matches_direct(cpx.alexander_dual())
+
+
+def test_scan_smith_only_on_undominated(monkeypatch, pentagon):
+    calls = []
+    real = homology._integral_entries
+
+    def counting(face_masks):
+        calls.append(1)
+        return real(face_masks)
+
+    monkeypatch.setattr(homology, "_integral_entries", counting)
+    integral_subset_scan(pentagon)
+    # the pentagon is flag, so v is dominated in K_A exactly when some
+    # other w in A is adjacent to v and to every neighbour of v in A
+    adj = pentagon.adjacency()
+    closed = [adj[v] | 1 << v for v in range(pentagon.n)]
+    undominated = sum(
+        1 for A in range(1, 1 << pentagon.n)
+        if not any(w != v and closed[v] & A & ~closed[w] == 0
+                   for v in bits_of(A) for w in bits_of(A)))
+    # 5 points, 5 non-adjacent pairs and the whole cycle
+    assert undominated == 11
+    assert len(calls) == undominated

@@ -3,6 +3,7 @@
 import pytest
 
 from srcox.complex_core import SimplicialComplex, bits_of, gen_cycle
+from srcox import quotient_builder as qb
 from srcox.errors import DomainError, ResourceError
 from srcox.quotient_builder import (
     ConstructionRejected,
@@ -156,3 +157,53 @@ def test_certificate_serialization(two_points):
     assert d["displacement_status"] == "CERTIFIED"
     assert set(d["link_hashes"]) == {str(i) for i in range(10)} or \
         set(d["link_hashes"]) == set(range(10))
+
+
+def _with_group_mod(monkeypatch, mod):
+    # tampered group: the closure is taken mod `mod`, not the certified m
+    real = qb.image_group
+    monkeypatch.setattr(qb, "image_group",
+                        lambda rep, m, budget: real(rep, mod, budget))
+
+
+def test_s_construction_rejects_failed_largeness(monkeypatch, two_points):
+    # mod 3 closes D_infty up into a 6-cycle, which is not 7-large; every
+    # vertex link is still two points
+    _with_group_mod(monkeypatch, 3)
+    with pytest.raises(ConstructionRejected) as exc:
+        s_construction(two_points, 7, m=5)
+    cert = exc.value.certificate
+    assert exc.value.exit_code == 4
+    assert cert.displacement_status == "CERTIFIED"
+    assert cert.link_check is True and cert.largeness_ok is False
+    assert not cert.emitted and cert.group_order == 6
+    assert "7-largeness" in cert.detail
+
+
+def test_s_construction_rejects_collapsed_cosets(monkeypatch, two_points):
+    # mod 2 both generators die: the spherical cosets collapse and the
+    # generator images hit the identity, so the link check fails too
+    _with_group_mod(monkeypatch, 2)
+    with pytest.raises(ConstructionRejected) as exc:
+        s_construction(two_points, 4, m=5)
+    cert = exc.value.certificate
+    assert cert.link_check is False and not cert.emitted
+    assert "coset size" in cert.detail and "vertex link" in cert.detail
+
+
+def test_s_construction_rejects_broken_link(monkeypatch, two_points):
+    # tampered cell set: one edge cell of the 10-cycle goes missing, so
+    # its two end vertices have a one-point link
+    real = qb.quotient_complex
+
+    def drop_last_cell(rep, group):
+        q = real(rep, group)
+        return qb.QuotientComplex(q.group, q.cells[:-1], q.coset_sizes_ok)
+
+    monkeypatch.setattr(qb, "quotient_complex", drop_last_cell)
+    with pytest.raises(ConstructionRejected) as exc:
+        s_construction(two_points, 4, m=5)
+    cert = exc.value.certificate
+    assert cert.link_check is False and cert.largeness_ok is True
+    assert not cert.emitted
+    assert cert.detail.endswith("failed: vertex link check")

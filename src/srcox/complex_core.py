@@ -16,6 +16,8 @@ INF = math.inf
 
 # enumeration guard for operations that list every face
 FACE_BUDGET = 1 << 22
+# enumeration guard for minimal_nonfaces, in vertex subsets examined
+NONFACE_SUBSET_BUDGET = 1 << 22
 
 
 def mask_of(vertices):
@@ -285,16 +287,27 @@ class SimplicialComplex:
         labels = tuple(self.face_label(f) for f in faces)
         return SimplicialComplex(len(faces), _maximal(new_facets), labels)
 
-    def minimal_nonfaces(self, max_size=None):
-        """Masks of minimal nonfaces, i.e. generators of the nonface ideal."""
+    def minimal_nonfaces(self):
+        """Masks of minimal nonfaces, i.e. generators of the nonface ideal.
+
+        Examines every vertex subset of at most one more vertex than the
+        largest facet; raises ResourceError past NONFACE_SUBSET_BUDGET
+        subsets.
+        """
         if not self.facets:
             return (0,)  # even the empty set is not a face
         top = max(bin(f).count("1") for f in self.facets) + 1
-        if max_size is not None:
-            top = min(top, max_size)
+        total = sum(math.comb(self.n, s) for s in range(1, top + 1))
+        budget = NONFACE_SUBSET_BUDGET
+        examined = 0
         out = []
         for s in range(1, top + 1):
             for c in combinations(range(self.n), s):
+                if examined == budget:
+                    raise ResourceError(
+                        f"minimal nonface budget exhausted: examined "
+                        f"{examined} of {total} subsets")
+                examined += 1
                 m = mask_of(c)
                 if self.contains(m):
                     continue
@@ -324,9 +337,18 @@ class SimplicialComplex:
 
     def largeness(self):
         flag = self.is_flag()
-        nf = self.minimal_nonfaces(max_size=3 if flag else None)
-        min_nonface = min((bin(m).count("1") for m in nf), default=None)
-        cyc = _shortest_chordless_cycle(self.adjacency(), self.n)
+        adj = self.adjacency()
+        if flag:
+            # full vertex support and only non-edges as minimal nonfaces:
+            # the smallest is a non-edge, unless the complex is a simplex
+            full = (1 << self.n) - 1
+            min_nonface = 2 if any(a | 1 << v != full
+                                   for v, a in enumerate(adj)) else None
+        else:
+            min_nonface = min((bin(m).count("1")
+                               for m in self.minimal_nonfaces()),
+                              default=None)
+        cyc = _shortest_chordless_cycle(adj, self.n)
         shortest = cyc if cyc else INF
         if not flag:
             max_k = None

@@ -23,7 +23,6 @@ from .racg import (
 )
 
 DEFAULT_GROUP_BUDGET = 1 << 20
-SAMPLE_THRESHOLD = 64
 
 
 class ConstructionRejected(PropertyViolation):
@@ -303,15 +302,11 @@ def s_construction(delta, k, m=None, ball_budget=DEFAULT_BALL_BUDGET,
     out = thicken(quotient)
 
     order = group.order
-    if order <= SAMPLE_THRESHOLD:
-        sampled = list(range(order))
-    else:
-        sampled = sorted({i * order // 8 for i in range(8)})
     lookup = _spherical_lookup(rep, group)
     link_ok = lookup is not None
     hashes = {}
     if link_ok:
-        for g in sampled:
+        for g in range(order):
             ok, digest = _check_vertex_link(out, delta, group, lookup, g)
             if digest is not None:
                 hashes[str(g)] = digest
@@ -325,7 +320,7 @@ def s_construction(delta, k, m=None, ball_budget=DEFAULT_BALL_BUDGET,
                                      quotient.coset_sizes_ok)) if not ok]
     cert = ConstructionCertificate(
         k, m, "CERTIFIED", torsion_free=True, link_check=link_ok,
-        largeness_ok=largeness_ok, sampled_vertices=sampled,
+        largeness_ok=largeness_ok, sampled_vertices=range(order),
         link_hashes=hashes, group_order=order,
         detail=search.detail, emitted=not failed)
     if failed:

@@ -142,8 +142,8 @@ class BallReport:
         }
 
 
-def _as_key(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
+def _max_entry(elements, idxs):
+    return max(max(abs(x) for row in elements[i] for x in row) for i in idxs)
 
 
 def word_ball(rep, max_length, generating_set="standard",
@@ -153,8 +153,9 @@ def word_ball(rep, max_length, generating_set="standard",
 
     Standard generators give word length; spherical elements give
     displacement.  Deduplication is on exact entries, so levels are
-    genuinely geodesic.  Budget overruns raise with the partial report
-    attached (never usable for certification).
+    genuinely geodesic; standard levels first drop the products that
+    right descents show are not new.  Budget overruns raise with the
+    partial report attached (never usable for certification).
     """
     if max_length < 0:
         raise DomainError("ball radius must be >= 0")
@@ -183,65 +184,85 @@ def word_ball(rep, max_length, generating_set="standard",
                           level_max_entry, complete, elements, words,
                           element_levels, index)
 
-    use_numpy = True
+    def add(key, word, length, found):
+        index[key] = len(elements)
+        found.append(len(elements))
+        elements.append(key)
+        words.append(word)
+        element_levels.append(length)
+        if len(elements) > budget:
+            level_counts.append(len(found))
+            level_max_entry.append(_max_entry(elements, found))
+            raise ResourceError(
+                f"ball budget {budget} exceeded at length {length}",
+                partial=report(False))
+
     np_gens = [g.to_numpy() for g in gen_mats]
+    # int64 copy of the frontier; None once entries could overflow
+    stack = np.array([ident.data], dtype=np.int64)
     for length in range(1, max_length + 1):
-        prev_max = max(level_max_entry)
-        if rep.n * prev_max * max_gen_entry >= _SAFE_PRODUCT:
-            use_numpy = False
+        if rep.n * max(level_max_entry) * max_gen_entry >= _SAFE_PRODUCT:
+            stack = None
         found = []
-        if use_numpy:
-            stack = np.stack([np.array(elements[i], dtype=np.int64)
-                              for i in frontier])
+        if stack is not None:
+            peak = 0
+            parts = []
             for gi, G in enumerate(np_gens):
                 prods = stack @ G
-                for r in range(prods.shape[0]):
-                    key = _as_key(prods[r].tolist())
-                    if key in index:
-                        continue
-                    idx = len(elements)
-                    index[key] = idx
-                    elements.append(key)
-                    words.append(words[frontier[r]] + gen_words[gi])
-                    element_levels.append(length)
-                    found.append(idx)
-                    if len(elements) > budget:
-                        level_counts.append(len(found))
-                        level_max_entry.append(
-                            max(max(abs(x) for row in elements[i]
-                                    for x in row) for i in found))
-                        raise ResourceError(
-                            f"ball budget {budget} exceeded at length "
-                            f"{length}", partial=report(False))
+                if generating_set == "standard":
+                    # column j of u is the root u(alpha_j), all <= 0 just
+                    # when s_j is a right descent of u (Humphreys 5.4);
+                    # u = w s_g is new, and met first here, just when g
+                    # is the smallest right descent of u
+                    neg = (prods <= 0).all(axis=1)
+                    rows = np.flatnonzero(
+                        neg[:, gi] & ~neg[:, :gi].any(axis=1)).tolist()
+                else:
+                    rows = range(len(prods))
+                added = []
+                for r in rows:
+                    # one row at a time: a whole level as nested lists
+                    # costs more memory than the ball itself
+                    key = tuple(map(tuple, prods[r].tolist()))
+                    if key not in index:
+                        add(key, words[frontier[r]] + gen_words[gi], length,
+                            found)
+                        added.append(r)
+                if added:
+                    # row-wise max and min: np.abs would copy the products
+                    peak = max(peak, int(prods.max(axis=(1, 2))[added].max()),
+                               -int(prods.min(axis=(1, 2))[added].min()))
+                    if length < max_length:
+                        parts.append(prods[added])
+            if parts:
+                stack = np.concatenate(parts)
         else:
-            for fi in frontier:
-                base = IntMatrix(elements[fi])
-                for gi, G in enumerate(gen_mats):
+            # generator-major like the numpy path, so both number the
+            # elements alike
+            bases = [IntMatrix(elements[fi]) for fi in frontier]
+            for gi, G in enumerate(gen_mats):
+                for fi, base in zip(frontier, bases):
                     key = (base @ G).data
-                    if key in index:
-                        continue
-                    idx = len(elements)
-                    index[key] = idx
-                    elements.append(key)
-                    words.append(words[fi] + gen_words[gi])
-                    element_levels.append(length)
-                    found.append(idx)
-                    if len(elements) > budget:
-                        level_counts.append(len(found))
-                        level_max_entry.append(
-                            max(max(abs(x) for row in elements[i]
-                                    for x in row) for i in found))
-                        raise ResourceError(
-                            f"ball budget {budget} exceeded at length "
-                            f"{length}", partial=report(False))
+                    if key not in index:
+                        add(key, words[fi] + gen_words[gi], length, found)
+            if found:
+                peak = _max_entry(elements, found)
         if not found:
             break
         level_counts.append(len(found))
-        level_max_entry.append(
-            max(max(abs(x) for row in elements[i] for x in row)
-                for i in found))
+        level_max_entry.append(peak)
         frontier = found
     return report(True)
+
+
+def _is_identity_mod(rows, m):
+    """Whether the integer matrix given by its rows is I mod m; stops at
+    the first entry that says no."""
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if (x - (r == c)) % m:
+                return False
+    return True
 
 
 class DisplacementSearch:
@@ -294,8 +315,7 @@ def kernel_displacement_search(rep, m, k, budget=DEFAULT_BALL_BUDGET):
             "UNDECIDED", m, k, length, None, seen,
             f"budget {budget} exhausted before radius {length}")
     for i in range(1, ball.total()):
-        mat = IntMatrix(ball.elements[i])
-        if mat.mod(m).is_identity():
+        if _is_identity_mod(ball.elements[i], m):
             return DisplacementSearch(
                 "COUNTEREXAMPLE", m, k, length, ball.element(i),
                 ball.total(),

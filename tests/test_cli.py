@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from srcox import complex_core
 from srcox import quotient_builder as qb
 from srcox.cli import main
 
@@ -123,6 +124,17 @@ def test_dual_and_facecomplex_files(capsys, pent_file, tmp_path):
     assert main(["facecomplex", pent_file, "--out", str(fc)]) == 0
     code, out, _ = run(capsys, ["reg", str(fc)])
     assert "regularity: 2" in out
+
+
+def test_nonface_budget_exits_3(capsys, monkeypatch, rp2_file, pent_file):
+    monkeypatch.setattr(complex_core, "NONFACE_SUBSET_BUDGET", 10)
+    for command, path in (("largeness", rp2_file), ("dual", rp2_file),
+                          ("dual", pent_file)):
+        code, out, err = run(capsys, [command, path])
+        assert code == 3 and not out
+        assert "examined 10 of" in err
+    code, out, _ = run(capsys, ["largeness", pent_file])
+    assert code == 0 and "min_nonface_size: 2" in out
 
 
 def test_largeness(capsys, pent_file):

@@ -8,6 +8,7 @@ from oracles import (
     induced_facets,
     oracle_shortest_induced_cycle,
 )
+from srcox import complex_core
 from srcox.complex_core import (
     INF,
     Face,
@@ -23,7 +24,7 @@ from srcox.complex_core import (
     mask_of,
     parse_cplx,
 )
-from srcox.errors import DomainError, InputError
+from srcox.errors import DomainError, InputError, ResourceError
 
 
 def facet_sets(cpx):
@@ -191,6 +192,54 @@ def test_largeness_frozen_values(pentagon, octahedron, rp2):
     assert rep.shortest_induced_cycle == INF and rep.max_k == INF
     assert rep.gl_index() == INF
     assert rep.is_k_large(10 ** 9)
+
+
+def _min_nonface_by_enumeration(cpx):
+    # the former flag route: the smallest minimal nonface of size <= 3
+    return min((s for s in map(int.bit_count, cpx.minimal_nonfaces())
+                if s <= 3), default=None)
+
+
+@given(random_flags)
+def test_flag_min_nonface_from_adjacency(cpx):
+    rep = cpx.largeness()
+    assert rep.flag
+    assert rep.min_nonface_size == _min_nonface_by_enumeration(cpx)
+
+
+def test_flag_min_nonface_extremes(two_points):
+    for cpx, want in ((gen_simplex(3), None), (gen_simplex(0), None),
+                      (two_points, 2), (SimplicialComplex(0, [0]), None)):
+        rep = cpx.largeness()
+        assert rep.flag
+        assert rep.min_nonface_size == want == \
+            _min_nonface_by_enumeration(cpx)
+
+
+def test_non_flag_min_nonface_frozen(rp2):
+    for cpx, want in ((rp2, 3), (gen_cycle(3), 3),
+                      (gen_boundary_simplex(3), 4),
+                      (gen_cycle(5).alexander_dual(), 3),
+                      (gen_cross_polytope(3).alexander_dual(), 3),
+                      (rp2.alexander_dual(), 3)):
+        rep = cpx.largeness()
+        assert rep.flag is False and rep.max_k is None
+        assert rep.min_nonface_size == want
+
+
+def test_minimal_nonfaces_budget(monkeypatch, rp2, pentagon):
+    # rp2 has 6 vertices and triangles: subsets of sizes 1..4, 56 of them
+    monkeypatch.setattr(complex_core, "NONFACE_SUBSET_BUDGET", 10)
+    with pytest.raises(ResourceError, match="examined 10 of 56 subsets"):
+        rp2.minimal_nonfaces()
+    with pytest.raises(ResourceError):
+        rp2.largeness()
+    with pytest.raises(ResourceError):
+        pentagon.alexander_dual()
+    # flag largeness reads the adjacency and enumerates nothing
+    assert pentagon.largeness().min_nonface_size == 2
+    monkeypatch.setattr(complex_core, "NONFACE_SUBSET_BUDGET", 56)
+    assert len(rp2.minimal_nonfaces()) == 10
 
 
 @given(random_flags)

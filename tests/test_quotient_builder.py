@@ -105,6 +105,16 @@ def test_s_construction_pilot(two_points):
     assert len(cert.link_hashes) == 10 and len(hashes) == 1
 
 
+def test_s_construction_checks_every_link():
+    # order 120, past the old 64-vertex cut-off for sampling 8 links
+    three = SimplicialComplex.from_facets([], ["a", "b", "c"])
+    out, cert = s_construction(three, 4, m=5)
+    assert cert.emitted and cert.link_check and cert.group_order == 120
+    assert cert.sampled_vertices == tuple(range(120))
+    assert set(cert.link_hashes) == {str(g) for g in range(120)}
+    assert len(set(cert.link_hashes.values())) == 1
+
+
 def test_s_construction_default_modulus(two_points):
     out, cert = s_construction(two_points, 4)
     assert cert.m == 27 and cert.emitted

@@ -2,7 +2,14 @@
 
 import pytest
 
-from srcox.complex_core import SimplicialComplex, gen_cycle, gen_rp2_six
+from srcox import racg
+from srcox.complex_core import (
+    SimplicialComplex,
+    gen_cross_polytope,
+    gen_cycle,
+    gen_random_flag,
+    gen_rp2_six,
+)
 from srcox.errors import DomainError, ResourceError
 from srcox.exact_linalg import IntMatrix
 from srcox.racg import (
@@ -125,6 +132,56 @@ def test_word_ball_budget(pent_rep):
         word_ball(pent_rep, 8, budget=100)
     partial = exc.value.partial
     assert partial is not None and not partial.complete
+
+
+def _ball_fields(ball):
+    return (ball.level_counts, ball.level_max_entry, ball.elements,
+            ball.words, ball.element_levels)
+
+
+@pytest.mark.parametrize("nerve, gset, radius", [
+    (gen_cycle(5), "standard", 6),
+    (gen_cycle(5), "spherical", 3),
+    (gen_cross_polytope(3), "standard", 6),
+    (gen_random_flag(7, 0.4, 3), "standard", 5),
+    (SimplicialComplex.from_facets([], ["a", "b"]), "standard", 6),
+])
+def test_word_ball_python_path_matches_numpy(monkeypatch, nerve, gset,
+                                             radius):
+    # the python-int path deduplicates every product on its exact
+    # entries, so it also checks the descent rule of the numpy path
+    rep = build_system(nerve)
+    fast = word_ball(rep, radius, gset)
+    monkeypatch.setattr(racg, "_SAFE_PRODUCT", 0)
+    slow = word_ball(rep, radius, gset)
+    assert _ball_fields(slow) == _ball_fields(fast)
+
+
+@pytest.mark.parametrize("safe_product", [racg._SAFE_PRODUCT, 0])
+def test_word_ball_budget_partial_max_entry(monkeypatch, pent_rep,
+                                            safe_product):
+    monkeypatch.setattr(racg, "_SAFE_PRODUCT", safe_product)
+    with pytest.raises(ResourceError) as exc:
+        word_ball(pent_rep, 8, budget=100)
+    partial = exc.value.partial
+    assert partial.total() == 101
+    last = len(partial.level_counts) - 1
+    cut = [e for e, lv in zip(partial.elements, partial.element_levels)
+           if lv == last]
+    assert len(cut) == partial.level_counts[-1]
+    assert partial.level_max_entry[-1] == max(
+        abs(x) for e in cut for row in e for x in row)
+
+
+@pytest.mark.parametrize("m, hits", [(3, 31), (5, 1), (7, 1)])
+def test_identity_mod_matches_int_matrix(pent_rep, m, hits):
+    ball = word_ball(pent_rep, 8)
+    got = [racg._is_identity_mod(e, m) for e in ball.elements]
+    assert got == [IntMatrix(e).mod(m).is_identity() for e in ball.elements]
+    assert got[0] and sum(got) == hits
+    big = m * 2 ** 80
+    assert racg._is_identity_mod(((big + 1, big), (-big, 1 - big)), m)
+    assert not racg._is_identity_mod(((big + 1, big + 1), (0, 1)), m)
 
 
 def test_search_preconditions(pent_rep):

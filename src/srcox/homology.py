@@ -291,21 +291,26 @@ def _close_masks(facet_masks, budget):
 
 def profile_from_facets(facet_masks, face_budget=FACE_BUDGET, allow_nerve=True):
     """Integral homology entries for the complex generated by the given
-    facet masks.  Large top faces trigger one pass through the nerve of
-    the facet cover (facet intersections are simplices, so the nerve has
-    the same homotopy type)."""
+    facet masks.  Dominated vertices are deleted first (strong
+    collapses, see `_dominated_bit`), so a cone ends as one point.  A
+    core with large top faces takes one pass through the nerve of the
+    facet cover (facet intersections are simplices, so the nerve has the
+    same homotopy type)."""
     facet_masks = list(facet_masks)
     if not facet_masks:
         return ()
     nonzero = [m for m in facet_masks if m]
     if not nonzero:
         return ((-1, 1, ()),)
-    common = nonzero[0]
-    for m in nonzero[1:]:
-        common &= m
-    if common:
-        return ()  # cone
-    est = sum(1 << bin(m).count("1") for m in set(nonzero))
+    core = 0
+    for m in nonzero:
+        core |= m
+    while b := _dominated_bit(nonzero, core):
+        core ^= b
+    if core & (core - 1) == 0:
+        return ()  # collapses to a point
+    nonzero = [t for t in {m & core for m in nonzero} if t]
+    est = sum(1 << bin(m).count("1") for m in nonzero)
     if est <= min(face_budget, 4096):
         return _integral_entries(_close_masks(nonzero, face_budget))
     if allow_nerve:

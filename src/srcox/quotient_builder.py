@@ -219,14 +219,12 @@ def _spherical_lookup(rep, group):
     return table
 
 
-def _check_vertex_link(out, delta, group, lookup, g):
+def _check_vertex_link(star, delta, group, lookup, g):
     """The link of vertex g, pulled back through h -> g^{-1}h, must be
-    the face complex of the nerve."""
+    the face complex of the nerve; star lists the facets through g."""
     g_inv = group.inverse(g)
     link_facets = set()
-    for f in out.facets:
-        if not f >> g & 1:
-            continue
+    for f in star:
         rest = f & ~(1 << g)
         mapped = []
         for h in bits_of(rest):
@@ -306,8 +304,12 @@ def s_construction(delta, k, m=None, ball_budget=DEFAULT_BALL_BUDGET,
     link_ok = lookup is not None
     hashes = {}
     if link_ok:
+        stars = [[] for _ in range(order)]
+        for f in out.facets:
+            for g in bits_of(f):
+                stars[g].append(f)
         for g in range(order):
-            ok, digest = _check_vertex_link(out, delta, group, lookup, g)
+            ok, digest = _check_vertex_link(stars[g], delta, group, lookup, g)
             if digest is not None:
                 hashes[str(g)] = digest
             if not ok:

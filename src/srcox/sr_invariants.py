@@ -13,7 +13,13 @@ appear only in display fields.
 import math
 from fractions import Fraction
 
-from .complex_core import INF, SimplicialComplex, bits_of, sort_faces
+from .complex_core import (
+    FACE_BUDGET,
+    INF,
+    SimplicialComplex,
+    bits_of,
+    sort_faces,
+)
 from .errors import DomainError, ResourceError
 from .homology import (
     DEFAULT_SCAN_CAP,
@@ -181,8 +187,13 @@ def link_candidates(cpx, cap=CANDIDATE_CAP):
     return sort_faces(out)
 
 
+def _link_facets(cpx, g):
+    """Facet masks of the link of face g, on the vertex ids of cpx."""
+    return [f & ~g for f in cpx.facets if g & ~f == 0]
+
+
 def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,
-               face_budget=None):
+               face_budget=FACE_BUDGET):
     """Regularity as the largest i with nonzero (i-1)-st cohomology of
     an induced subcomplex (method induced) or of a face link (links)."""
     coeff = _field(coeff)
@@ -194,13 +205,11 @@ def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,
         return RegularityReport(best, "induced", witness, coeff)
     if method != "links":
         raise DomainError(f"unknown regularity method {method!r}")
-    from .complex_core import FACE_BUDGET
-    budget = FACE_BUDGET if face_budget is None else face_budget
     best = None
     wit = None
     for g in link_candidates(cpx):
-        lf = [f & ~g for f in cpx.facets if g & ~f == 0]
-        degs = entry_coh_degrees(profile_from_facets(lf, budget), coeff)
+        degs = entry_coh_degrees(
+            profile_from_facets(_link_facets(cpx, g), face_budget), coeff)
         if not degs:
             continue
         v = degs[-1] + 1
@@ -241,19 +250,17 @@ def gl_index(cpx, mode="combinatorial", coeff="q", cap=DEFAULT_SCAN_CAP):
 
 # -- Cohen-Macaulayness --------------------------------------------------
 
-def is_cohen_macaulay(cpx, coeff="q", face_budget=None):
+def is_cohen_macaulay(cpx, coeff="q", face_budget=FACE_BUDGET):
     """Reisner's criterion: every face link has homology only in its top
     dimension.  Cone links are acyclic, so only meet-irreducible faces
     need checking."""
     coeff = _field(coeff)
     if cpx.is_void():
         return True
-    from .complex_core import FACE_BUDGET
-    budget = FACE_BUDGET if face_budget is None else face_budget
     for g in link_candidates(cpx):
-        lf = [f & ~g for f in cpx.facets if g & ~f == 0]
+        lf = _link_facets(cpx, g)
         link_dim = max(bin(m).count("1") for m in lf) - 1
-        degs = entry_coh_degrees(profile_from_facets(lf, budget), coeff)
+        degs = entry_coh_degrees(profile_from_facets(lf, face_budget), coeff)
         if any(d < link_dim for d in degs):
             return False
     return True

@@ -1,8 +1,10 @@
 """Reduced homology: boundary matrices, integral vs field routes, scans."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from oracles import (
     close_faces,
@@ -36,6 +38,7 @@ from srcox.homology import (
     reduced_homology,
     scan_torsion_primes,
 )
+from srcox.sr_invariants import link_candidates, regularity
 
 random_flags = st.builds(
     gen_random_flag,
@@ -170,15 +173,64 @@ def test_nerve_route_agrees(rp2, pentagon):
 
 
 def test_profile_budget():
-    # two disjoint 22-simplices: far past the direct budget, but the
-    # facet nerve is just two points
+    # two disjoint 22-simplices: far past the direct budget, but each
+    # collapses to a point, so neither the nerve nor a budget is needed
     a = (1 << 23) - 1
     b = a << 23
-    with pytest.raises(ResourceError):
-        profile_from_facets([a, b], face_budget=1 << 10, allow_nerve=False)
+    assert profile_from_facets([a, b], face_budget=1 << 10,
+                               allow_nerve=False) == ((0, 1, ()),)
     assert profile_from_facets([a, b], face_budget=1 << 10) == ((0, 1, ()),)
     # a lone big simplex is a cone, so no budget is ever needed
     assert profile_from_facets([a], face_budget=1 << 4) == ()
+    # no vertex collapses here: vertex S (a 4-subset of {0..7}) lies in
+    # facet i for i in S, and those four facets meet in S alone.  Eight
+    # 35-vertex facets are past any budget, but the nerve is the full
+    # 3-skeleton of the 7-simplex
+    subsets = list(combinations(range(8), 4))
+    facets = [sum(1 << j for j, S in enumerate(subsets) if i in S)
+              for i in range(8)]
+    assert profile_from_facets(facets) == ((3, 35, ()),)
+    with pytest.raises(ResourceError):
+        profile_from_facets(facets, allow_nerve=False)
+
+
+@st.composite
+def link_hosts(draw):
+    """Random flags, their Alexander duals and face complexes of small
+    flags of dimension at most 2 (so every link stays small uncollapsed)."""
+    kind = draw(st.sampled_from(["flag", "dual", "faces"]))
+    if kind == "faces":
+        cpx = draw(st.builds(gen_random_flag, st.integers(3, 5),
+                             st.floats(0.15, 0.6), st.integers(0, 10 ** 6)))
+        assume(cpx.dim <= 2)
+        return cpx.face_complex()
+    cpx = draw(random_flags)
+    return cpx.alexander_dual() if kind == "dual" else cpx
+
+
+@given(link_hosts())
+def test_collapsed_links_match_uncollapsed(cpx):
+    for g in link_candidates(cpx):
+        lf = [f & ~g for f in cpx.facets if g & ~f == 0]
+        want = reduced_homology(cpx.link(bits_of(g)), "z").entries
+        assert profile_from_facets(lf) == want
+
+
+def test_links_of_rp2_face_complex_factor_small(monkeypatch):
+    # the face complex of RP^2_6 has 31 vertices; uncollapsed, its links
+    # hand Smith form matrices up to 335 x 350
+    shapes = []
+    real = homology.smith_normal_form
+
+    def recording(M):
+        shapes.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    fc = gen_rp2_six().face_complex()
+    assert tuple(regularity(fc, c, "links").value
+                 for c in ("q", "f2")) == (2, 3)
+    assert shapes and max(r * c for r, c in shapes) <= 15 * 10
 
 
 @given(random_flags)

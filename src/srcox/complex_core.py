@@ -29,12 +29,11 @@ def mask_of(vertices):
 
 def bits_of(mask):
     out = []
-    v = 0
+    # one step per set bit, not per vertex id below the highest
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
     return out
 
 
@@ -213,17 +212,6 @@ class SimplicialComplex:
         for f in self.faces():
             counts[bin(f).count("1")] += 1
         return tuple(counts)
-
-    def cone_apex(self):
-        """A vertex lying in every facet, or None."""
-        if not self.facets:
-            return None
-        m = self.facets[0]
-        for f in self.facets[1:]:
-            m &= f
-        if m:
-            return bits_of(m & -m)[0]
-        return None
 
     def edges(self):
         out = set()

@@ -33,14 +33,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(tuple((0,) * cols for _ in range(rows)), rows, cols)
-
-    @classmethod
-    def from_numpy(cls, arr):
-        return cls(tuple(tuple(int(x) for x in row) for row in arr))
-
     def max_abs(self):
         big = 0
         for r in self.data:
@@ -50,14 +42,6 @@ class IntMatrix:
                 elif x > big:
                     big = x
         return big
-
-    def to_numpy(self):
-        """int64 view; only valid when max_abs() is small enough."""
-        return np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
-
-    def transpose(self):
-        return IntMatrix(tuple(zip(*self.data)), self.cols, self.rows) if self.data \
-            else IntMatrix((), self.cols, self.rows)
 
     def mul(self, other):
         if self.cols != other.rows:

@@ -117,9 +117,6 @@ class QuotientComplex:
         self.cells = cells
         self.coset_sizes_ok = coset_sizes_ok
 
-    def cells_of_face(self, t_mask):
-        return [es for t, es in self.cells if t == t_mask]
-
     def __repr__(self):
         return (f"QuotientComplex(order={self.group.order}, "
                 f"cells={len(self.cells)})")

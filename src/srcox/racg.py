@@ -15,7 +15,7 @@ from .exact_linalg import IntMatrix
 DEFAULT_BALL_BUDGET = 2_000_000
 
 # int64 matrix products stay exact below this; above it the ball walker
-# moves to unbounded python integers
+# widens its arrays to unbounded python integers
 _SAFE_PRODUCT = 1 << 62
 
 
@@ -79,13 +79,15 @@ def spherical_elements(rep):
     """One group element per nonempty face: the product of its pairwise
     commuting generators (order immaterial)."""
     out = []
-    faces = [f for f in rep.nerve.faces() if f]
-    for f in sorted(faces, key=lambda m: (bin(m).count("1"),
-                                          tuple(bits_of(m)))):
+    # faces() already lists them in (size, vertex tuple) order
+    for f in rep.nerve.faces():
+        if not f:
+            continue
+        verts = tuple(bits_of(f))
         mat = IntMatrix.identity(rep.n)
-        for i in bits_of(f):
+        for i in verts:
             mat = mat @ rep.generators[i]
-        out.append((tuple(bits_of(f)), mat))
+        out.append((verts, mat))
     return out
 
 
@@ -197,56 +199,47 @@ def word_ball(rep, max_length, generating_set="standard",
                 f"ball budget {budget} exceeded at length {length}",
                 partial=report(False))
 
-    np_gens = [g.to_numpy() for g in gen_mats]
-    # int64 copy of the frontier; None once entries could overflow
+    np_gens = [np.array(g.data, dtype=np.int64) for g in gen_mats]
     stack = np.array([ident.data], dtype=np.int64)
     for length in range(1, max_length + 1):
-        if rep.n * max(level_max_entry) * max_gen_entry >= _SAFE_PRODUCT:
-            stack = None
+        if (stack.dtype != object and rep.n * max(level_max_entry)
+                * max_gen_entry >= _SAFE_PRODUCT):
+            # int64 products could overflow from here on: widen once to
+            # exact python ints (object dtype)
+            stack = stack.astype(object)
+            np_gens = [G.astype(object) for G in np_gens]
         found = []
-        if stack is not None:
-            peak = 0
-            parts = []
-            for gi, G in enumerate(np_gens):
-                prods = stack @ G
-                if generating_set == "standard":
-                    # column j of u is the root u(alpha_j), all <= 0 just
-                    # when s_j is a right descent of u (Humphreys 5.4);
-                    # u = w s_g is new, and met first here, just when g
-                    # is the smallest right descent of u
-                    neg = (prods <= 0).all(axis=1)
-                    rows = np.flatnonzero(
-                        neg[:, gi] & ~neg[:, :gi].any(axis=1)).tolist()
-                else:
-                    rows = range(len(prods))
-                added = []
-                for r in rows:
-                    # one row at a time: a whole level as nested lists
-                    # costs more memory than the ball itself
-                    key = tuple(map(tuple, prods[r].tolist()))
-                    if key not in index:
-                        add(key, words[frontier[r]] + gen_words[gi], length,
-                            found)
-                        added.append(r)
-                if added:
-                    # row-wise max and min: np.abs would copy the products
-                    peak = max(peak, int(prods.max(axis=(1, 2))[added].max()),
-                               -int(prods.min(axis=(1, 2))[added].min()))
-                    if length < max_length:
-                        parts.append(prods[added])
-            if parts:
-                stack = np.concatenate(parts)
-        else:
-            # generator-major like the numpy path, so both number the
-            # elements alike
-            bases = [IntMatrix(elements[fi]) for fi in frontier]
-            for gi, G in enumerate(gen_mats):
-                for fi, base in zip(frontier, bases):
-                    key = (base @ G).data
-                    if key not in index:
-                        add(key, words[fi] + gen_words[gi], length, found)
-            if found:
-                peak = _max_entry(elements, found)
+        peak = 0
+        parts = []
+        for gi, G in enumerate(np_gens):
+            prods = stack @ G
+            if generating_set == "standard":
+                # column j of u is the root u(alpha_j), all <= 0 just
+                # when s_j is a right descent of u (Humphreys 5.4);
+                # u = w s_g is new, and met first here, just when g
+                # is the smallest right descent of u
+                neg = (prods <= 0).all(axis=1)
+                rows = np.flatnonzero(
+                    neg[:, gi] & ~neg[:, :gi].any(axis=1)).tolist()
+            else:
+                rows = range(len(prods))
+            added = []
+            for r in rows:
+                # one row at a time: a whole level as nested lists
+                # costs more memory than the ball itself
+                key = tuple(map(tuple, prods[r].tolist()))
+                if key not in index:
+                    add(key, words[frontier[r]] + gen_words[gi], length,
+                        found)
+                    added.append(r)
+            if added:
+                # row-wise max and min: np.abs would copy the products
+                peak = max(peak, int(prods.max(axis=(1, 2))[added].max()),
+                           -int(prods.min(axis=(1, 2))[added].min()))
+                if length < max_length:
+                    parts.append(prods[added])
+        if parts:
+            stack = np.concatenate(parts)
         if not found:
             break
         level_counts.append(len(found))

@@ -287,3 +287,31 @@ def oracle_shortest_induced_cycle(adj, n):
             if is_induced_cycle(adj, subset):
                 return k
     return None
+
+
+# --- groups -------------------------------------------------------------
+
+def oracle_ball(generators, radius):
+    """Levels of the Cayley ball of the integer matrices `generators`:
+    level l is the set of elements first reached by a word of length l.
+    Plain BFS multiplying on the right, every product deduplicated on its
+    exact entries; stops early at an empty level."""
+    n = len(generators[0]) if generators else 0
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {ident}
+    levels = [{ident}]
+    for _ in range(radius):
+        new = set()
+        for u in levels[-1]:
+            for g in generators:
+                prod = tuple(
+                    tuple(sum(u[i][k] * g[k][j] for k in range(n))
+                          for j in range(n))
+                    for i in range(n))
+                if prod not in seen:
+                    seen.add(prod)
+                    new.add(prod)
+        if not new:
+            break
+        levels.append(new)
+    return levels

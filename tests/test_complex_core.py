@@ -1,7 +1,7 @@
 """Complex construction, face enumeration, duals, flagness, girth."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import (
     close_faces,
@@ -25,6 +25,7 @@ from srcox.complex_core import (
     parse_cplx,
 )
 from srcox.errors import DomainError, InputError, ResourceError
+from srcox.homology import profile_from_facets
 
 
 def facet_sets(cpx):
@@ -48,6 +49,13 @@ def test_face_sorts_and_rejects_duplicates():
 def test_mask_round_trip():
     assert bits_of(mask_of([0, 2, 5])) == [0, 2, 5]
     assert mask_of([]) == 0 and bits_of(0) == []
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=1 << 70),
+                 st.sets(st.integers(0, 2100), max_size=30).map(mask_of)))
+@example((1 << 2050) | (1 << 2000) | 0b101)
+def test_bits_of_matches_shift_loop(m):
+    assert bits_of(m) == [v for v in range(m.bit_length()) if m >> v & 1]
 
 
 def test_from_facets_assigns_ids_by_first_appearance():
@@ -100,10 +108,11 @@ def test_contains(pentagon):
 
 
 def test_cone_apex():
+    # the link route collapses a cone to its apex: reduced homology 0
     cone = SimplicialComplex.from_facets([["x", "a", "b"], ["x", "b", "c"]])
-    assert cone.cone_apex() == 0
-    assert gen_cycle(5).cone_apex() is None
-    assert gen_simplex(3).cone_apex() == 0
+    assert profile_from_facets(list(cone.facets)) == ()
+    assert profile_from_facets(list(gen_cycle(5).facets)) == ((1, 1, ()),)
+    assert profile_from_facets(list(gen_simplex(3).facets)) == ()
 
 
 def test_link_and_induced(pentagon):

@@ -1,6 +1,5 @@
 """Exact integer linear algebra against the naive reference implementations."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,7 +28,7 @@ def test_snf_textbook_example():
 
 
 def test_snf_zero_and_identity():
-    assert smith_normal_form(IntMatrix.zeros(3, 4)).invariant_factors == ()
+    assert smith_normal_form(IntMatrix(((0,) * 4,) * 3)).invariant_factors == ()
     assert smith_normal_form(IntMatrix.identity(4)).invariant_factors == \
         (1, 1, 1, 1)
 
@@ -51,7 +50,7 @@ def test_snf_divisibility_chain(rows):
 def test_snf_invariant_under_transpose(rows):
     M = IntMatrix(rows)
     a = smith_normal_form(M).invariant_factors
-    b = smith_normal_form(M.transpose()).invariant_factors
+    b = smith_normal_form(IntMatrix(zip(*rows))).invariant_factors
     assert a == b
 
 
@@ -112,10 +111,7 @@ def test_intmatrix_ops():
     assert A.mod(3).data == ((1, 2), (0, 1))
     assert IntMatrix.identity(2).is_identity()
     assert not A.is_identity()
-    assert A.transpose().data == ((1, 3), (2, 4))
     assert A.max_abs() == 4
-    C = IntMatrix.from_numpy(np.array([[5, -6]], dtype=np.int64))
-    assert C.data == ((5, -6),)
 
 
 def test_is_prime_small_and_carmichael():

@@ -56,7 +56,7 @@ def test_quotient_cells_ten_cycle(free_rep):
     g = image_group(free_rep, 5)
     q = quotient_complex(free_rep, g)
     assert q.coset_sizes_ok
-    verts = q.cells_of_face(0)
+    verts = [es for t, es in q.cells if t == 0]
     edges = [es for t, es in q.cells if t != 0]
     assert len(verts) == 10 and len(edges) == 10
     assert all(len(es) == 1 for es in verts)

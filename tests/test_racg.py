@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import oracle_ball
 from srcox import racg
 from srcox.complex_core import (
     SimplicialComplex,
@@ -139,22 +140,45 @@ def _ball_fields(ball):
             ball.words, ball.element_levels)
 
 
-@pytest.mark.parametrize("nerve, gset, radius", [
+BALL_CASES = [
     (gen_cycle(5), "standard", 6),
     (gen_cycle(5), "spherical", 3),
     (gen_cross_polytope(3), "standard", 6),
     (gen_random_flag(7, 0.4, 3), "standard", 5),
     (SimplicialComplex.from_facets([], ["a", "b"]), "standard", 6),
-])
+]
+
+
+@pytest.mark.parametrize("nerve, gset, radius", BALL_CASES)
 def test_word_ball_python_path_matches_numpy(monkeypatch, nerve, gset,
                                              radius):
-    # the python-int path deduplicates every product on its exact
-    # entries, so it also checks the descent rule of the numpy path
+    # _SAFE_PRODUCT = 0 widens the walk to python ints from the first
+    # level; both walks run the descent rule, which
+    # test_word_ball_matches_oracle_bfs checks against a plain BFS
     rep = build_system(nerve)
     fast = word_ball(rep, radius, gset)
     monkeypatch.setattr(racg, "_SAFE_PRODUCT", 0)
     slow = word_ball(rep, radius, gset)
     assert _ball_fields(slow) == _ball_fields(fast)
+
+
+@pytest.mark.parametrize("safe_product", [racg._SAFE_PRODUCT, 0])
+@pytest.mark.parametrize("nerve, gset, radius", BALL_CASES)
+def test_word_ball_matches_oracle_bfs(monkeypatch, nerve, gset, radius,
+                                      safe_product):
+    rep = build_system(nerve)
+    if gset == "standard":
+        gens = [g.data for g in rep.generators]
+    else:
+        gens = [mat.data for _, mat in spherical_elements(rep)]
+    want = oracle_ball(gens, radius)
+    monkeypatch.setattr(racg, "_SAFE_PRODUCT", safe_product)
+    ball = word_ball(rep, radius, gset)
+    got = [set() for _ in ball.level_counts]
+    for e, lv in zip(ball.elements, ball.element_levels):
+        got[lv].add(e)
+    assert ball.level_counts == [len(level) for level in want]
+    assert got == want
 
 
 @pytest.mark.parametrize("safe_product", [racg._SAFE_PRODUCT, 0])

@@ -87,12 +87,23 @@ def _face_mask(sigma):
 
 
 def _maximal(masks):
-    """Antichain of the given masks (supersets win)."""
-    uniq = sorted(set(masks), key=lambda m: (-bin(m).count("1"), m))
+    """Antichain of the given masks (supersets win), sorted.
+
+    Masks are taken largest first; a kept superset of m holds m's lowest
+    vertex, so m is tested only against the kept masks through it.
+    """
     out = []
-    for m in uniq:
-        if not any(m & ~f == 0 for f in out):
-            out.append(m)
+    through = {}  # vertex id -> kept masks containing it
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m:
+            low = (m & -m).bit_length() - 1
+            if any(m & ~f == 0 for f in through.get(low, ())):
+                continue
+            for v in bits_of(m):
+                through.setdefault(v, []).append(m)
+        elif out:
+            continue  # the empty face lies in every kept mask
+        out.append(m)
     return tuple(sorted(out))
 
 
@@ -105,9 +116,8 @@ class SimplicialComplex:
         for f in facets:
             if f & ~full:
                 raise DomainError("facet outside vertex range")
-        for a, b in combinations(facets, 2):
-            if a & ~b == 0 or b & ~a == 0:
-                raise DomainError("facets must form an antichain")
+        if _maximal(facets) != facets:
+            raise DomainError("facets must form an antichain")
         if labels is not None:
             labels = tuple(str(t) for t in labels)
             if len(labels) != n:
@@ -164,13 +174,7 @@ class SimplicialComplex:
         """Dimension; -1 for {empty face}, None for the void complex."""
         if not self.facets:
             return None
-        return max(bin(f).count("1") for f in self.facets) - 1
-
-    def vertex_support(self):
-        m = 0
-        for f in self.facets:
-            m |= f
-        return m
+        return max(f.bit_count() for f in self.facets) - 1
 
     def label_of(self, v):
         return self.labels[v] if self.labels else str(v)
@@ -312,16 +316,12 @@ class SimplicialComplex:
     # -- largeness -------------------------------------------------------
 
     def is_flag(self):
-        """True when every minimal nonface is an edge."""
-        if not self.facets:
-            return False
-        if self.vertex_support() != (1 << self.n) - 1:
-            return False  # a bare vertex is a nonface of size 1
-        adj = self.adjacency()
-        for clique in _max_cliques(adj, self.n):
-            if not self.contains(clique):
-                return False
-        return True
+        """True when every minimal nonface is an edge, i.e. the facets
+        are exactly the maximal cliques of the 1-skeleton on all n
+        vertices.  So a vertex in no facet, or the void complex, makes
+        the answer False; {empty face} is flag."""
+        return list(self.facets) == sorted(_max_cliques(self.adjacency(),
+                                                        self.n))
 
     def largeness(self):
         flag = self.is_flag()
@@ -407,8 +407,6 @@ class LargenessReport:
 def _max_cliques(adj, n):
     """Maximal cliques of the graph given by adjacency bitmasks."""
     out = []
-    if n == 0:
-        return out
     # iterative Bron-Kerbosch with a greedy pivot
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
@@ -424,7 +422,7 @@ def _max_cliques(adj, n):
         while m:
             b = m & -m
             v = b.bit_length() - 1
-            cnt = bin(p & adj[v]).count("1")
+            cnt = (p & adj[v]).bit_count()
             if cnt > best:
                 best = cnt
                 pivot = v
@@ -443,39 +441,38 @@ def _max_cliques(adj, n):
 def _shortest_chordless_cycle(adj, n):
     """Length of the shortest chordless cycle (>= 4), or 0 if none.
 
-    Depth-first search over induced paths anchored at each edge; a
-    neighbour of any interior path vertex can never appear later, which
-    is exactly chordlessness.
+    Take a hole with least vertex b and neighbours a < c on it.  The
+    rest of the hole is an a -> c path whose inner vertices lie above b
+    and outside N[b].  Conversely, a shortest such path from a to a
+    c > a not adjacent to a is induced, since a chord would shorten it,
+    and with b it closes a hole.  So one breadth-first search from a
+    through those vertices, per edge b-a with a > b, finds the shortest
+    hole through b and a; searches stop once they cannot beat `best`.
     """
     best = 0
-
-    def dfs(a, u, path_mask, interior, length):
-        nonlocal best
-        if best and length + 1 >= best:
-            return
-        cand = adj[u] & ~path_mask
-        m = cand
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            if adj[w] & interior:
-                continue
-            if adj[w] & (1 << a):
-                if length >= 3:
-                    c = length + 1
-                    if best == 0 or c < best:
-                        best = c
-            else:
-                dfs(a, w, path_mask | b, interior | (1 << u), length + 1)
-
-    for a in range(n):
-        nb = adj[a] & ~((1 << (a + 1)) - 1)  # only edges a < b
+    full = (1 << n) - 1
+    for b in range(n):
+        above = full & ~((2 << b) - 1)
+        nb = adj[b] & above
+        inner = above & ~nb
         while nb:
-            b = nb & -nb
-            v = b.bit_length() - 1
-            nb ^= b
-            dfs(a, v, (1 << a) | b, 0, 2)
+            start = nb & -nb  # a's bit; the targets are the c > a off N(a)
+            nb ^= start
+            targets = nb & ~adj[start.bit_length() - 1]
+            if not targets:
+                continue
+            seen = frontier = start
+            dist = 0  # a hole closed at distance dist has dist + 2 vertices
+            while frontier and (not best or dist + 3 < best):
+                reach = 0
+                for v in bits_of(frontier):
+                    reach |= adj[v]
+                dist += 1
+                if reach & targets:
+                    best = dist + 2
+                    break
+                frontier = reach & inner & ~seen
+                seen |= frontier
     return best
 
 

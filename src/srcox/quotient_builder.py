@@ -44,14 +44,13 @@ def _mul_mod(a, b, m):
 class ImageGroup:
     """Image of the integer representation in GL_n(Z/m)."""
 
-    __slots__ = ("rep", "m", "elements", "index", "words", "gen_images")
+    __slots__ = ("rep", "m", "elements", "index", "gen_images")
 
-    def __init__(self, rep, m, elements, index, words, gen_images):
+    def __init__(self, rep, m, elements, index, gen_images):
         self.rep = rep
         self.m = m
         self.elements = elements
         self.index = index
-        self.words = words
         self.gen_images = gen_images
 
     @property
@@ -60,10 +59,6 @@ class ImageGroup:
 
     def product(self, i, j):
         return self.index[_mul_mod(self.elements[i], self.elements[j], self.m)]
-
-    def inverse(self, i):
-        # generators are involutions, so reversing a witness word inverts
-        return self.word_image(tuple(reversed(self.words[i])))
 
     def word_image(self, word):
         idx = 0
@@ -86,12 +81,11 @@ def image_group(rep, m, budget=DEFAULT_GROUP_BUDGET):
                   for g in rep.generators]
     index = {ident: 0}
     elements = [ident]
-    words = [()]
     frontier = [0]
     while frontier:
         new = []
         for fi in frontier:
-            for gi, G in enumerate(gen_images):
+            for G in gen_images:
                 prod = _mul_mod(elements[fi], G, m)
                 if prod in index:
                     continue
@@ -100,11 +94,9 @@ def image_group(rep, m, budget=DEFAULT_GROUP_BUDGET):
                         f"image group exceeded budget {budget} elements")
                 index[prod] = len(elements)
                 elements.append(prod)
-                words.append(words[fi] + (gi,))
                 new.append(index[prod])
         frontier = new
-    return ImageGroup(rep, m, tuple(elements), index, tuple(words),
-                      gen_images)
+    return ImageGroup(rep, m, tuple(elements), index, gen_images)
 
 
 class QuotientComplex:
@@ -218,14 +210,15 @@ def _spherical_lookup(rep, group):
 
 def _check_vertex_link(star, delta, group, lookup, g):
     """The link of vertex g, pulled back through h -> g^{-1}h, must be
-    the face complex of the nerve; star lists the facets through g."""
-    g_inv = group.inverse(g)
+    the face complex of the nerve; star lists the facets through g.
+    h = g x exactly when g^{-1}h = x, so the pullback needs no inverse."""
+    near = {group.product(g, x): s for x, s in lookup.items()}
     link_facets = set()
     for f in star:
         rest = f & ~(1 << g)
         mapped = []
         for h in bits_of(rest):
-            s = lookup.get(group.product(g_inv, h))
+            s = near.get(h)
             if s is None:
                 return False, None
             mapped.append(s)

@@ -201,6 +201,16 @@ def test_construct_rejection_and_budget(capsys, pent_file, two_file):
     assert env["report"]["certificate"]["displacement_status"] == "UNDECIDED"
 
 
+def test_construct_default_modulus_long_girth(capsys, two_file):
+    # modulus 3^6 = 729: a 1458-cycle, whose hole search once overflowed
+    # the recursion limit
+    code, env, _ = jrun(capsys, ["construct", two_file, "--k", "7",
+                                 "--format", "json"])
+    assert code == 0
+    cert = env["report"]["certificate"]
+    assert cert["emitted"] is True and cert["group_order"] == 1458
+
+
 def test_input_error_codes(capsys, pent_file):
     assert run(capsys, ["reg", "/no/such/file.cplx"])[0] == 2
     assert run(capsys, ["reg", pent_file, "--field", "f6"])[0] == 2

@@ -1,5 +1,7 @@
 """Complex construction, face enumeration, duals, flagness, girth."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -13,6 +15,7 @@ from srcox.complex_core import (
     INF,
     Face,
     SimplicialComplex,
+    _maximal,
     bits_of,
     gen_boundary_simplex,
     gen_cross_polytope,
@@ -37,6 +40,11 @@ random_flags = st.builds(
     st.integers(4, 7),
     st.floats(0.15, 0.9),
     st.integers(0, 10 ** 6))
+
+# facet-mask lists on n <= 7 vertices, with repeats, nesting and the
+# empty mask left in
+mask_lists = st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10)))
 
 
 def test_face_sorts_and_rejects_duplicates():
@@ -70,10 +78,22 @@ def test_facet_antichain_enforced():
     # the raw constructor validates; from_facets reduces
     with pytest.raises(DomainError):
         SimplicialComplex(3, [0b111, 0b011])
+    with pytest.raises(DomainError):
+        SimplicialComplex(3, [0b011, 0b101, 0b011])  # a repeated facet
     cpx = SimplicialComplex.from_facets([["a", "b", "c"], ["a", "b"], ["c"]])
     assert facet_sets(cpx) == [(0, 1, 2)]
     with pytest.raises(InputError):
         SimplicialComplex(2, [0b100])  # vertex out of range
+
+
+@given(mask_lists)
+@example((0, [0, 0]))
+@example((3, [0, 0b011, 0b011, 0b001, 0b110]))
+def test_maximal_matches_pairwise(case):
+    _, masks = case
+    want = sorted({m for m in masks
+                   if not any(m != f and m & ~f == 0 for f in masks)})
+    assert _maximal(masks) == tuple(want)
 
 
 def test_void_and_empty_distinction():
@@ -183,6 +203,28 @@ def test_is_flag():
     assert not gen_rp2_six().is_flag()
 
 
+def _flag_by_faces(cpx):
+    # flag: the faces are the cliques of the 1-skeleton on all n vertices
+    faces = close_faces([bits_of(f) for f in cpx.facets])
+    edges = {f for f in faces if len(f) == 2}
+    cliques = {frozenset(c) for s in range(cpx.n + 1)
+               for c in combinations(range(cpx.n), s)
+               if all(frozenset(e) in edges for e in combinations(c, 2))}
+    return faces == cliques
+
+
+@given(mask_lists)
+@example((0, [0]))       # {empty face}: flag
+@example((0, []))        # void: not flag
+@example((2, [0b01]))    # vertex 1 in no facet: not flag
+def test_is_flag_matches_clique_faces(case):
+    n, masks = case
+    cpx = SimplicialComplex(n, _maximal(masks))
+    assert cpx.is_flag() == _flag_by_faces(cpx)
+    dual = cpx.alexander_dual()
+    assert dual.is_flag() == _flag_by_faces(dual)
+
+
 def test_largeness_frozen_values(pentagon, octahedron, rp2):
     rep = pentagon.largeness()
     assert (rep.flag, rep.shortest_induced_cycle, rep.max_k) == (True, 5, 5)
@@ -251,12 +293,19 @@ def test_minimal_nonfaces_budget(monkeypatch, rp2, pentagon):
     assert len(rp2.minimal_nonfaces()) == 10
 
 
-@given(random_flags)
+# the clique complex keeps the drawn graph as its 1-skeleton
+@given(st.builds(gen_random_flag, st.integers(1, 10), st.floats(0, 1),
+                 st.integers(0, 10 ** 6)))
 def test_shortest_induced_cycle_matches_bruteforce(cpx):
     adj = [set(bits_of(row)) for row in cpx.adjacency()]
     want = oracle_shortest_induced_cycle(adj, cpx.n)
     got = cpx.largeness().shortest_induced_cycle
     assert got == (INF if want is None else want)
+
+
+def test_shortest_induced_cycle_long_hole():
+    # one search level per vertex: no recursion depth to run out of
+    assert gen_cycle(1500).largeness().shortest_induced_cycle == 1500
 
 
 def test_generators():

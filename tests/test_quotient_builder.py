@@ -37,7 +37,7 @@ def test_image_group_single_vertex():
 def test_image_group_ops(free_rep):
     g = image_group(free_rep, 5)
     for i in range(g.order):
-        inv = g.inverse(i)
+        inv = next(j for j in range(g.order) if g.product(i, j) == 0)
         assert g.product(i, inv) == 0
         assert g.product(inv, i) == 0
     # words compose through the group table
@@ -167,6 +167,29 @@ def test_certificate_serialization(two_points):
     assert d["displacement_status"] == "CERTIFIED"
     assert set(d["link_hashes"]) == {str(i) for i in range(10)} or \
         set(d["link_hashes"]) == set(range(10))
+
+
+# certificates of the earlier inverse-based link pullback; every link of
+# one nerve pulls back to the same face complex, so to the same digest
+TWO_POINT_LINK = \
+    "4d4ddfb4d0a9accba4ef44c8ff1846bd88eafb26edf80bc547364acf8e2020ac"
+THREE_POINT_LINK = \
+    "e162b702f68780abf9cc47094742a8a402256fc98e503391fcd63945dc7d713f"
+
+
+@pytest.mark.parametrize("points, k, m, order, girth, digest", [
+    ("ab", 4, 5, 10, 10, TWO_POINT_LINK),
+    ("abc", 4, 3, 24, 6, THREE_POINT_LINK),
+    ("abc", 4, 5, 120, 10, THREE_POINT_LINK),
+    ("abc", 5, 7, 336, 12, THREE_POINT_LINK),
+])
+def test_s_construction_frozen_certificates(points, k, m, order, girth,
+                                            digest):
+    delta = SimplicialComplex.from_facets([], list(points))
+    out, cert = s_construction(delta, k, m=m)
+    assert cert.emitted and cert.group_order == order
+    assert cert.link_hashes == {str(g): digest for g in range(order)}
+    assert out.largeness().shortest_induced_cycle == girth
 
 
 def _with_group_mod(monkeypatch, mod):

@@ -169,8 +169,8 @@ def test_certificate_serialization(two_points):
         set(d["link_hashes"]) == set(range(10))
 
 
-# certificates of the earlier inverse-based link pullback; every link of
-# one nerve pulls back to the same face complex, so to the same digest
+# frozen link digests: every link of one nerve pulls back to the same
+# face complex, so to the same digest, and a wrong pullback changes it
 TWO_POINT_LINK = \
     "4d4ddfb4d0a9accba4ef44c8ff1846bd88eafb26edf80bc547364acf8e2020ac"
 THREE_POINT_LINK = \

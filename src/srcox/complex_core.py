@@ -214,7 +214,7 @@ class SimplicialComplex:
             return ()
         counts = [0] * (self.dim + 2)
         for f in self.faces():
-            counts[bin(f).count("1")] += 1
+            counts[f.bit_count()] += 1
         return tuple(counts)
 
     def edges(self):
@@ -288,7 +288,7 @@ class SimplicialComplex:
         """
         if not self.facets:
             return (0,)  # even the empty set is not a face
-        top = max(bin(f).count("1") for f in self.facets) + 1
+        top = max(f.bit_count() for f in self.facets) + 1
         total = sum(math.comb(self.n, s) for s in range(1, top + 1))
         budget = NONFACE_SUBSET_BUDGET
         examined = 0
@@ -320,12 +320,14 @@ class SimplicialComplex:
         are exactly the maximal cliques of the 1-skeleton on all n
         vertices.  So a vertex in no facet, or the void complex, makes
         the answer False; {empty face} is flag."""
-        return list(self.facets) == sorted(_max_cliques(self.adjacency(),
-                                                        self.n))
+        return self._is_flag(self.adjacency())
+
+    def _is_flag(self, adj):
+        return list(self.facets) == sorted(_max_cliques(adj, self.n))
 
     def largeness(self):
-        flag = self.is_flag()
         adj = self.adjacency()
+        flag = self._is_flag(adj)
         if flag:
             # full vertex support and only non-edges as minimal nonfaces:
             # the smallest is a non-edge, unless the complex is a simplex
@@ -333,7 +335,7 @@ class SimplicialComplex:
             min_nonface = 2 if any(a | 1 << v != full
                                    for v, a in enumerate(adj)) else None
         else:
-            min_nonface = min((bin(m).count("1")
+            min_nonface = min((m.bit_count()
                                for m in self.minimal_nonfaces()),
                               default=None)
         cyc = _shortest_chordless_cycle(adj, self.n)
@@ -348,8 +350,8 @@ class SimplicialComplex:
 
     def to_cplx(self):
         lines = []
-        singles = [f for f in self.facets if bin(f).count("1") == 1]
-        bigger = [f for f in self.facets if bin(f).count("1") > 1]
+        singles = [f for f in self.facets if f.bit_count() == 1]
+        bigger = [f for f in self.facets if f.bit_count() > 1]
         if singles:
             lines.append("isolated: " + " ".join(
                 self.label_of(bits_of(f)[0]) for f in singles))

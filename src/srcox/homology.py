@@ -12,7 +12,7 @@ none anywhere.
 
 import numpy as np
 
-from .complex_core import FACE_BUDGET, SimplicialComplex, bits_of, sort_faces
+from .complex_core import FACE_BUDGET, bits_of, sort_faces
 from .errors import DomainError, PropertyViolation, ResourceError
 from .exact_linalg import is_prime, rank, smith_normal_form
 
@@ -186,14 +186,11 @@ class HomologyProfile:
 
 
 def reduced_homology(cpx, coeff="z", face_budget=FACE_BUDGET):
-    """Reduced homology profile of a complex (or iterable of facet masks)."""
+    """Reduced homology profile of a SimplicialComplex."""
     coeff = parse_coeff(coeff)
-    if isinstance(cpx, SimplicialComplex):
-        if cpx.is_void():
-            return HomologyProfile(coeff, ())
-        masks = [f for f in cpx.faces(face_budget) if f]
-    else:
-        masks = _close_masks([m for m in cpx if m], face_budget)
+    if cpx.is_void():
+        return HomologyProfile(coeff, ())
+    masks = [f for f in cpx.faces(face_budget) if f]
     if coeff == "z":
         return HomologyProfile("z", _integral_entries(masks))
     return HomologyProfile(coeff, _field_entries(masks, coeff))
@@ -273,7 +270,7 @@ def _prime_factors(x):
 
 def _close_masks(facet_masks, budget):
     """Nonempty faces of the given facets, in (size, vertex tuple) order."""
-    est = sum(1 << bin(m).count("1") for m in set(facet_masks))
+    est = sum(1 << m.bit_count() for m in set(facet_masks))
     if est > budget:
         raise ResourceError(
             f"face closure would touch about {est} subsets, budget {budget}")
@@ -310,13 +307,13 @@ def profile_from_facets(facet_masks, face_budget=FACE_BUDGET, allow_nerve=True):
     if core & (core - 1) == 0:
         return ()  # collapses to a point
     nonzero = [t for t in {m & core for m in nonzero} if t]
-    est = sum(1 << bin(m).count("1") for m in nonzero)
+    est = sum(1 << m.bit_count() for m in nonzero)
     if est <= min(face_budget, 4096):
         return _integral_entries(_close_masks(nonzero, face_budget))
     if allow_nerve:
         # big top faces, few of them: the nerve is usually far smaller
         nerve = facet_nerve(nonzero)
-        if sum(1 << bin(t).count("1") for t in set(nerve)) < est:
+        if sum(1 << t.bit_count() for t in set(nerve)) < est:
             return profile_from_facets(nerve, face_budget,
                                        allow_nerve=False)
     if est <= face_budget:

@@ -11,14 +11,13 @@ import hashlib
 import json
 from itertools import combinations
 
-from .complex_core import SimplicialComplex, bits_of
+from .complex_core import SimplicialComplex, _maximal, bits_of, mask_of
 from .errors import DomainError, PropertyViolation, ResourceError
 from .racg import (
     DEFAULT_BALL_BUDGET,
     build_system,
     evaluate_word,
     kernel_displacement_search,
-    spherical_elements,
     sufficient_modulus,
 )
 
@@ -42,29 +41,31 @@ def _mul_mod(a, b, m):
 
 
 class ImageGroup:
-    """Image of the integer representation in GL_n(Z/m)."""
+    """Image of the integer representation in GL_n(Z/m), kept as its
+    right action table: act[i][s] is the index of element i times
+    generator s.  Elements are numbered breadth-first from the identity
+    0, generators in order."""
 
-    __slots__ = ("rep", "m", "elements", "index", "gen_images")
+    __slots__ = ("rep", "m", "act")
 
-    def __init__(self, rep, m, elements, index, gen_images):
+    def __init__(self, rep, m, act):
         self.rep = rep
         self.m = m
-        self.elements = elements
-        self.index = index
-        self.gen_images = gen_images
+        self.act = act
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.act)
 
-    def product(self, i, j):
-        return self.index[_mul_mod(self.elements[i], self.elements[j], self.m)]
+    def times(self, i, word):
+        """Index of element i times the product of the word's generators."""
+        act = self.act
+        for s in word:
+            i = act[i][s]
+        return i
 
     def word_image(self, word):
-        idx = 0
-        for g in word:
-            idx = self.product(idx, self.index[self.gen_images[g]])
-        return idx
+        return self.times(0, word)
 
     def __repr__(self):
         return f"ImageGroup(m={self.m}, order={self.order})"
@@ -81,22 +82,22 @@ def image_group(rep, m, budget=DEFAULT_GROUP_BUDGET):
                   for g in rep.generators]
     index = {ident: 0}
     elements = [ident]
-    frontier = [0]
-    while frontier:
-        new = []
-        for fi in frontier:
-            for G in gen_images:
-                prod = _mul_mod(elements[fi], G, m)
-                if prod in index:
-                    continue
+    act = []
+    # the loop also visits the elements it appends: a breadth-first queue
+    for el in elements:
+        row = []
+        for G in gen_images:
+            prod = _mul_mod(el, G, m)
+            j = index.get(prod)
+            if j is None:
                 if len(elements) >= budget:
                     raise ResourceError(
                         f"image group exceeded budget {budget} elements")
-                index[prod] = len(elements)
+                j = index[prod] = len(elements)
                 elements.append(prod)
-                new.append(index[prod])
-        frontier = new
-    return ImageGroup(rep, m, tuple(elements), index, gen_images)
+            row.append(j)
+        act.append(tuple(row))
+    return ImageGroup(rep, m, tuple(act))
 
 
 class QuotientComplex:
@@ -117,41 +118,29 @@ class QuotientComplex:
 def quotient_complex(rep, group):
     if group.rep is not rep:
         raise DomainError("group was built from a different representation")
-    subgroup_cache = {}
-
-    def face_subgroup(t_mask):
-        got = subgroup_cache.get(t_mask)
-        if got is None:
-            verts = bits_of(t_mask)
-            got = set()
-            for r in range(len(verts) + 1):
-                for sub in combinations(verts, r):
-                    got.add(group.word_image(sub))
-            subgroup_cache[t_mask] = got
-        return got
-
     cells = {}
     sizes_ok = True
     for t_mask in rep.nerve.faces():
-        sub = face_subgroup(t_mask)
-        expect = 1 << bin(t_mask).count("1")
+        verts = bits_of(t_mask)
+        words = [sub for r in range(len(verts) + 1)
+                 for sub in combinations(verts, r)]
         for g in range(group.order):
-            coset = frozenset(group.product(g, h) for h in sub)
-            if len(coset) != expect:
+            coset = frozenset(group.times(g, w) for w in words)
+            if len(coset) != len(words):
                 sizes_ok = False
             cells[(t_mask, coset)] = None
     ordered = sorted(cells,
-                     key=lambda c: (bin(c[0]).count("1"), c[0], sorted(c[1])))
+                     key=lambda c: (c[0].bit_count(), c[0], sorted(c[1])))
     return QuotientComplex(group, tuple(ordered), sizes_ok)
 
 
 def thicken(q):
     """Simplicial complex on the group elements: every cell becomes the
-    simplex on its vertex set."""
-    # empty-face cells come first, one per group element in index order,
-    # so the new vertex ids coincide with group element indices
-    facet_lists = [[f"g{i}" for i in sorted(es)] for _, es in q.cells]
-    return SimplicialComplex.from_facets(facet_lists)
+    simplex on its vertex set, and vertex i is element i."""
+    order = q.group.order
+    return SimplicialComplex(
+        order, _maximal(mask_of(es) for _, es in q.cells),
+        tuple(f"g{i}" for i in range(order)))
 
 
 class ConstructionCertificate:
@@ -195,24 +184,19 @@ class ConstructionCertificate:
         }
 
 
-def _spherical_lookup(rep, group):
-    """Map image-group indices of spherical elements to nerve faces;
-    None when two spherical elements collide mod m."""
-    table = {}
-    for verts, mat in spherical_elements(rep):
-        idx = group.index.get(
-            tuple(tuple(x % group.m for x in row) for row in mat.data))
-        if idx is None or idx in table or idx == 0:
-            return None
-        table[idx] = verts
-    return table
+def _spherical_faces(rep, group):
+    """Nonempty nerve faces as vertex tuples; None when two of their
+    spherical elements collide mod m or one of them dies."""
+    faces = [tuple(bits_of(t)) for t in rep.nerve.faces() if t]
+    images = {group.word_image(s) for s in faces}
+    return faces if len(images) == len(faces) and 0 not in images else None
 
 
-def _check_vertex_link(star, delta, group, lookup, g):
+def _check_vertex_link(star, expected, group, faces, g):
     """The link of vertex g, pulled back through h -> g^{-1}h, must be
-    the face complex of the nerve; star lists the facets through g.
-    h = g x exactly when g^{-1}h = x, so the pullback needs no inverse."""
-    near = {group.product(g, x): s for x, s in lookup.items()}
+    the expected face-complex link; star lists the facets through g.
+    h = g s exactly when g^{-1}h = s, so the pullback needs no inverse."""
+    near = {group.times(g, s): s for s in faces}
     link_facets = set()
     for f in star:
         rest = f & ~(1 << g)
@@ -226,12 +210,6 @@ def _check_vertex_link(star, delta, group, lookup, g):
         if len(set(mapped)) != len(mapped):
             return False, None
         link_facets.add(frozenset(mapped))
-    expected = set()
-    for tau in delta.facets:
-        verts = bits_of(tau)
-        expected.add(frozenset(
-            sub for r in range(1, len(verts) + 1)
-            for sub in combinations(verts, r)))
     canon = sorted(sorted(sorted(face) for face in fs) for fs in link_facets)
     digest = hashlib.sha256(
         json.dumps(canon, separators=(",", ":")).encode()).hexdigest()
@@ -290,16 +268,20 @@ def s_construction(delta, k, m=None, ball_budget=DEFAULT_BALL_BUDGET,
     out = thicken(quotient)
 
     order = group.order
-    lookup = _spherical_lookup(rep, group)
-    link_ok = lookup is not None
+    faces = _spherical_faces(rep, group)
+    link_ok = faces is not None
     hashes = {}
     if link_ok:
+        # every link must pull back to the face complex of the nerve
+        expected = {frozenset(s for s in faces if mask_of(s) & ~tau == 0)
+                    for tau in delta.facets}
         stars = [[] for _ in range(order)]
         for f in out.facets:
             for g in bits_of(f):
                 stars[g].append(f)
         for g in range(order):
-            ok, digest = _check_vertex_link(stars[g], delta, group, lookup, g)
+            ok, digest = _check_vertex_link(stars[g], expected, group,
+                                            faces, g)
             if digest is not None:
                 hashes[str(g)] = digest
             if not ok:

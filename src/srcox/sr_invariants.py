@@ -111,7 +111,7 @@ def betti_table(cpx, coeff="q", cap=DEFAULT_SCAN_CAP):
     for A, entry in enumerate(scan):
         if not entry:
             continue
-        j = bin(A).count("1")
+        j = A.bit_count()
         for d in entry_coh_degrees(entry, coeff):
             dim = entry_field_dim(entry, d, coeff)
             i = j - d - 1
@@ -259,7 +259,7 @@ def is_cohen_macaulay(cpx, coeff="q", face_budget=FACE_BUDGET):
         return True
     for g in link_candidates(cpx):
         lf = _link_facets(cpx, g)
-        link_dim = max(bin(m).count("1") for m in lf) - 1
+        link_dim = max(m.bit_count() for m in lf) - 1
         degs = entry_coh_degrees(profile_from_facets(lf, face_budget), coeff)
         if any(d < link_dim for d in degs):
             return False

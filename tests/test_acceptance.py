@@ -23,7 +23,6 @@ from srcox.complex_core import (
     gen_simplex,
 )
 from srcox.exact_linalg import IntMatrix
-from srcox.homology import reduced_homology
 from srcox.quotient_builder import s_construction
 from srcox.racg import build_system, evaluate_word, kernel_displacement_search, word_ball
 from srcox.sr_invariants import (

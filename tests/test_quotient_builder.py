@@ -1,5 +1,8 @@
 """Finite quotients mod m, Davis-style cells, thickening, certificates."""
 
+import hashlib
+from itertools import product
+
 import pytest
 
 from srcox.complex_core import SimplicialComplex, bits_of, gen_cycle
@@ -12,7 +15,7 @@ from srcox.quotient_builder import (
     s_construction,
     thicken,
 )
-from srcox.racg import build_system, evaluate_word
+from srcox.racg import build_system, evaluate_word, sufficient_modulus
 
 
 @pytest.fixture
@@ -36,15 +39,36 @@ def test_image_group_single_vertex():
 
 def test_image_group_ops(free_rep):
     g = image_group(free_rep, 5)
-    for i in range(g.order):
-        inv = next(j for j in range(g.order) if g.product(i, j) == 0)
-        assert g.product(i, inv) == 0
-        assert g.product(inv, i) == 0
-    # words compose through the group table
-    w = (0, 1, 0)
-    assert g.word_image(w) == g.product(
-        g.product(g.word_image((0,)), g.word_image((1,))),
-        g.word_image((0,)))
+    assert len(g.act) == g.order == 10
+    for s in range(free_rep.n):
+        column = [row[s] for row in g.act]
+        # right multiplication by a generator permutes the elements ...
+        assert sorted(column) == list(range(g.order))
+        # ... and is an involution
+        assert all(column[column[i]] == i for i in range(g.order))
+    words = _words(free_rep.n, 4)
+    for u in words:
+        for v in words:
+            assert g.times(g.word_image(u), v) == g.word_image(u + v)
+
+
+def _words(n, length):
+    """Every word of at most `length` letters on n generators."""
+    return [w for r in range(length + 1)
+            for w in product(range(n), repeat=r)]
+
+
+@pytest.mark.parametrize("points, m", [("ab", 5), ("abc", 3)])
+def test_image_group_matches_matrices(points, m):
+    # two words name one element exactly when their matrices agree mod m
+    rep = build_system(SimplicialComplex.from_facets([], list(points)))
+    g = image_group(rep, m)
+    words = _words(rep.n, 4)
+    mats = [evaluate_word(rep, w, mod=m).data for w in words]
+    idx = [g.word_image(w) for w in words]
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            assert (idx[i] == idx[j]) == (mats[i] == mats[j])
 
 
 def test_image_group_budget(free_rep):
@@ -190,6 +214,28 @@ def test_s_construction_frozen_certificates(points, k, m, order, girth,
     assert cert.emitted and cert.group_order == order
     assert cert.link_hashes == {str(g): digest for g in range(order)}
     assert out.largeness().shortest_induced_cycle == girth
+
+
+# frozen thickened outputs: vertex i is group element i, numbered
+# breadth-first in generator order, so these pin the numbering too
+@pytest.mark.parametrize("points, k, m, digest", [
+    ("ab", 4, 5,
+     "d57ba2e1a70b9ec10ae948563679b15a17e7f0c284e6079c42b54607e75b0b2f"),
+    ("abc", 4, 3,
+     "94f360ac98618ec61f16e73d30443ddbeb469aa0378ff23ef717ec4fb0a277bb"),
+    ("abc", 4, 5,
+     "c4d39b14ada0817d1af22bb236a1deab2cd76d8b8ec699f78f6c89ad4627b0e1"),
+    ("abc", 5, 7,
+     "4ae4c40af72f53cbe2d8343d5054ce2468d2a945adaceda7f74590d59bdab693"),
+    ("ab", 7, None,
+     "f6dcb36ba3d49aa436d3bd5b3891dec9d0a6324e929ca0663232bf5e3918907b"),
+])
+def test_thicken_frozen_numbering(points, k, m, digest):
+    delta = SimplicialComplex.from_facets([], list(points))
+    rep = build_system(delta)
+    m = m or sufficient_modulus(delta.dim, k)
+    out = thicken(quotient_complex(rep, image_group(rep, m)))
+    assert hashlib.sha256(out.to_cplx().encode()).hexdigest() == digest
 
 
 def _with_group_mod(monkeypatch, mod):

@@ -407,12 +407,21 @@ class LargenessReport:
 
 
 def _max_cliques(adj, n):
-    """Maximal cliques of the graph given by adjacency bitmasks."""
+    """Maximal cliques of the graph given by adjacency bitmasks.  Every
+    search node is a distinct clique, a face of the clique complex, so
+    more than FACE_BUDGET nodes raise ResourceError."""
+    budget = FACE_BUDGET
     out = []
     # iterative Bron-Kerbosch with a greedy pivot
     stack = [(0, (1 << n) - 1, 0)]
+    visited = 0
     while stack:
         r, p, x = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise ResourceError(
+                f"maximal clique search visited {visited} cliques, "
+                f"budget {budget}")
         if p == 0 and x == 0:
             out.append(r)
             continue

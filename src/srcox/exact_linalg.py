@@ -6,8 +6,6 @@ and results are exact for every input.
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, PropertyViolation
 
 
@@ -104,8 +102,6 @@ def _as_rows(M):
     and may reduce in place, with the shape."""
     if isinstance(M, IntMatrix):
         return [list(r) for r in M.data], M.rows, M.cols
-    if isinstance(M, np.ndarray):
-        return M.tolist(), M.shape[0], M.shape[1]
     rows = [[int(x) for x in r] for r in M]
     return rows, len(rows), (len(rows[0]) if rows else 0)
 

@@ -10,8 +10,6 @@ Degrees are reduced: the empty face lives in degree -1, so the complex
 none anywhere.
 """
 
-import numpy as np
-
 from .complex_core import FACE_BUDGET, bits_of, sort_faces
 from .errors import DomainError, PropertyViolation, ResourceError
 from .exact_linalg import is_prime, rank, smith_normal_form
@@ -55,26 +53,26 @@ def _faces_by_dim(face_masks):
 
 
 def boundary_matrix(levels, r):
-    """Matrix of the boundary map from r-faces to (r-1)-faces.
+    """Row lists of the boundary map from r-faces to (r-1)-faces.
 
     Degree 0 is augmented: the empty face is the single row.  Degree -1
-    is the zero map out of the empty face.
+    is the zero map out of the empty face, which has no rows.
     """
     if r == -1:
-        return np.zeros((0, 1), dtype=np.int64)
+        return []
     cols = levels[r] if r < len(levels) else []
     if r == 0:
-        return np.ones((1, len(cols)), dtype=np.int64)
+        return [[1] * len(cols)]
     if r - 1 >= len(levels):
-        return np.zeros((0, 0), dtype=np.int64)
+        return []
     row_index = {m: i for i, m in enumerate(levels[r - 1])}
-    A = np.zeros((len(row_index), len(cols)), dtype=np.int64)
+    A = [[0] * len(cols) for _ in row_index]
     for j, f in enumerate(cols):
         sign = 1
         rest = f
         while rest:
             b = rest & -rest
-            A[row_index[f ^ b], j] = sign
+            A[row_index[f ^ b]][j] = sign
             sign = -sign
             rest ^= b
     return A
@@ -134,18 +132,10 @@ class HomologyProfile:
         self.entries = tuple(entries)
 
     def rank_at(self, deg):
-        for e in self.entries:
-            if e[0] == deg:
-                return e[1]
-        return 0
+        return entry_rank(self.entries, deg)
 
     def torsion_at(self, deg):
-        if self.coeff != "z":
-            return ()
-        for d, _, tors in self.entries:
-            if d == deg:
-                return tors
-        return ()
+        return entry_torsion(self.entries, deg) if self.coeff == "z" else ()
 
     def dim_over(self, deg, coeff):
         """Dimension of homology at deg over Q or F_p, by universal
@@ -237,11 +227,6 @@ def entry_coh_degrees(entry, coeff):
         cand.add(d)
         cand.add(d + 1)  # p-torsion shows up one degree higher
     return tuple(sorted(d for d in cand if entry_field_dim(entry, d, coeff)))
-
-
-def entry_max_coh_degree(entry, coeff):
-    degs = entry_coh_degrees(entry, coeff)
-    return degs[-1] if degs else None
 
 
 def entry_torsion_primes(entry):
@@ -385,7 +370,7 @@ def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP):
     if not facets:
         cpx._scan = ((),) * total
         return cpx._scan
-    faces_arr = np.array([f for f in cpx.faces() if f], dtype=np.int64)
+    faces = [f for f in cpx.faces() if f]
     out = [None] * total
     out[0] = ((-1, 1, ()),)
     shared = {}  # few distinct entries: hold each one once
@@ -395,8 +380,7 @@ def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP):
             # A ^ v < A, so the ascending loop has filled it already
             out[A] = out[A ^ v]
             continue
-        sub = faces_arr[(faces_arr & ~np.int64(A)) == 0]
-        entry = _integral_entries(sub.tolist())
+        entry = _integral_entries([f for f in faces if not f & ~A])
         out[A] = shared.setdefault(entry, entry)
     cpx._scan = tuple(out)
     return cpx._scan
@@ -404,6 +388,6 @@ def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP):
 
 def scan_torsion_primes(scan):
     primes = set()
-    for entry in scan:
+    for entry in set(scan):
         primes.update(entry_torsion_primes(entry))
     return tuple(sorted(primes))

@@ -11,6 +11,7 @@ appear only in display fields.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .complex_core import (
@@ -26,7 +27,6 @@ from .homology import (
     coeff_name,
     entry_coh_degrees,
     entry_field_dim,
-    entry_max_coh_degree,
     integral_subset_scan,
     parse_coeff,
     profile_from_facets,
@@ -36,6 +36,25 @@ from .homology import (
 
 CANDIDATE_CAP = 1 << 18
 TOWER_BIT_BUDGET = 200_000
+
+
+def _first_top(items, coeff, nonneg=False):
+    """(top, key) for the first (key, entry) pair whose entry has the
+    largest top cohomology degree, counting only degrees >= 0 when
+    nonneg; (None, None) when no entry has one.  Each distinct entry is
+    read once."""
+    tops = {}
+    best = key = None
+    for k, entry in items:
+        if entry in tops:
+            t = tops[entry]
+        else:
+            degs = entry_coh_degrees(entry, coeff)
+            t = degs[-1] if degs and (degs[-1] >= 0 or not nonneg) else None
+            tops[entry] = t
+        if t is not None and (best is None or t > best):
+            best, key = t, k
+    return best, key
 
 
 def _field(coeff):
@@ -107,15 +126,14 @@ def betti_table(cpx, coeff="q", cap=DEFAULT_SCAN_CAP):
     if cpx.is_void():
         raise DomainError("the zero ring has no Betti table")
     scan = integral_subset_scan(cpx, cap)
+    counts = Counter((entry, A.bit_count())
+                     for A, entry in enumerate(scan) if entry)
     table = {}
-    for A, entry in enumerate(scan):
-        if not entry:
-            continue
-        j = A.bit_count()
+    for (entry, j), count in counts.items():
         for d in entry_coh_degrees(entry, coeff):
-            dim = entry_field_dim(entry, d, coeff)
             i = j - d - 1
-            table[(i, j)] = table.get((i, j), 0) + dim
+            table[(i, j)] = (table.get((i, j), 0)
+                             + count * entry_field_dim(entry, d, coeff))
     return BettiTable(coeff, table)
 
 
@@ -143,20 +161,6 @@ class RegularityReport:
     def __repr__(self):
         return (f"RegularityReport({self.value}, {self.method}, "
                 f"{coeff_name(self.field)})")
-
-
-def _reg_from_scan(scan, coeff):
-    best = None
-    wit = None
-    for A, entry in enumerate(scan):
-        degs = entry_coh_degrees(entry, coeff)
-        if not degs:
-            continue
-        v = degs[-1] + 1
-        if best is None or v > best:
-            best = v
-            wit = (A, degs[-1])
-    return best, wit
 
 
 def link_candidates(cpx, cap=CANDIDATE_CAP):
@@ -200,24 +204,16 @@ def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,
     if cpx.is_void():
         return RegularityReport(0, method, None, coeff, void=True)
     if method == "induced":
-        best, wit = _reg_from_scan(integral_subset_scan(cpx, cap), coeff)
-        witness = {"subset": bits_of(wit[0]), "degree": wit[1]}
-        return RegularityReport(best, "induced", witness, coeff)
+        top, A = _first_top(enumerate(integral_subset_scan(cpx, cap)), coeff)
+        witness = {"subset": bits_of(A), "degree": top}
+        return RegularityReport(top + 1, "induced", witness, coeff)
     if method != "links":
         raise DomainError(f"unknown regularity method {method!r}")
-    best = None
-    wit = None
-    for g in link_candidates(cpx):
-        degs = entry_coh_degrees(
-            profile_from_facets(_link_facets(cpx, g), face_budget), coeff)
-        if not degs:
-            continue
-        v = degs[-1] + 1
-        if best is None or v > best:
-            best = v
-            wit = (g, degs[-1])
-    witness = {"face": bits_of(wit[0]), "degree": wit[1]}
-    return RegularityReport(best, "links", witness, coeff)
+    top, g = _first_top(
+        ((g, profile_from_facets(_link_facets(cpx, g), face_budget))
+         for g in link_candidates(cpx)), coeff)
+    witness = {"face": bits_of(g), "degree": top}
+    return RegularityReport(top + 1, "links", witness, coeff)
 
 
 def verify_regularity_witness(cpx, report):
@@ -300,22 +296,16 @@ def vcd_nerve(cpx, cap=DEFAULT_SCAN_CAP):
         raise DomainError("the void complex is not a nerve")
     scan = integral_subset_scan(cpx, cap)
     full = (1 << cpx.n) - 1
-    value = None
-    witness = None
-    for sigma in cpx.faces():
-        top = entry_max_coh_degree(scan[full & ~sigma], "z")
-        if top is None:
-            continue
-        v = 1 + top
-        if value is None or v > value:
-            value = v
-            witness = {"face": bits_of(sigma), "degree": top}
+    top, sigma = _first_top(
+        ((sigma, scan[full & ~sigma]) for sigma in cpx.faces()), "z")
+    value = witness = None
+    if top is not None:
+        value = 1 + top
+        witness = {"face": bits_of(sigma), "degree": top}
     primes = scan_torsion_primes(scan)
-    reg_by_char = {}
-    for char in (0,) + primes:
-        coeff = "q" if char == 0 else char
-        best, _ = _reg_from_scan(scan, coeff)
-        reg_by_char[char] = best
+    reg_by_char = {
+        char: _first_top(enumerate(scan), "q" if char == 0 else char)[0] + 1
+        for char in (0,) + primes}
     return VcdReport(value, witness, primes, reg_by_char)
 
 
@@ -354,21 +344,11 @@ def cdreg_claim_check(cpx, coeff="z", cap=DEFAULT_SCAN_CAP):
         raise DomainError("claim check needs a nonvoid complex")
     scan = integral_subset_scan(cpx, cap)
     full = (1 << cpx.n) - 1
-
-    def top_nonneg(entry):
-        degs = [d for d in entry_coh_degrees(entry, coeff) if d >= 0]
-        return degs[-1] if degs else None
-
-    lhs = rhs = None
-    lw = rw = None
-    for sigma in cpx.faces():
-        t = top_nonneg(scan[full & ~sigma])
-        if t is not None and (lhs is None or t > lhs):
-            lhs, lw = t, {"face": bits_of(sigma), "degree": t}
-    for A, entry in enumerate(scan):
-        t = top_nonneg(entry)
-        if t is not None and (rhs is None or t > rhs):
-            rhs, rw = t, {"subset": bits_of(A), "degree": t}
+    lhs, sigma = _first_top(
+        ((sigma, scan[full & ~sigma]) for sigma in cpx.faces()), coeff, True)
+    rhs, A = _first_top(enumerate(scan), coeff, True)
+    lw = None if lhs is None else {"face": bits_of(sigma), "degree": lhs}
+    rw = None if rhs is None else {"subset": bits_of(A), "degree": rhs}
     return ClaimReport(coeff, lhs, rhs, lw, rw)
 
 

@@ -293,6 +293,19 @@ def test_minimal_nonfaces_budget(monkeypatch, rp2, pentagon):
     assert len(rp2.minimal_nonfaces()) == 10
 
 
+def test_max_cliques_budget(monkeypatch):
+    # the cocktail-party graph on 12 vertices has 64 maximal cliques; the
+    # clique search visits 127 cliques, one per search node
+    octa6 = gen_cross_polytope(6)
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 100)
+    with pytest.raises(ResourceError, match="visited 101 cliques"):
+        octa6.largeness()
+    with pytest.raises(ResourceError, match="visited 101 cliques"):
+        octa6.is_flag()
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 127)
+    assert octa6.is_flag() and octa6.largeness().max_k == 4
+
+
 # the clique complex keeps the drawn graph as its 1-skeleton
 @given(st.builds(gen_random_flag, st.integers(1, 10), st.floats(0, 1),
                  st.integers(0, 10 ** 6)))

@@ -2,7 +2,6 @@
 
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -66,12 +65,8 @@ def test_parse_coeff():
 def test_boundary_matches_reference(cpx, r):
     levels = _faces_by_dim(cpx.faces())
     got = boundary_matrix(levels, r)
-    want = np.array(oracle_boundary(close_faces(oracle_facets(cpx)), r))
-    if want.size == 0:
-        assert got.size == 0
-    else:
-        assert got.shape == want.shape
-        assert (got == want).all()
+    want = oracle_boundary(close_faces(oracle_facets(cpx)), r)
+    assert got == want
 
 
 @given(random_flags)
@@ -80,8 +75,9 @@ def test_boundary_squares_to_zero(cpx):
     for r in range(0, (cpx.dim or 0) + 1):
         a = boundary_matrix(levels, r)
         b = boundary_matrix(levels, r + 1)
-        if a.size and b.size:
-            assert not (a @ b).any()
+        for row in a:
+            for col in zip(*b):
+                assert sum(x * y for x, y in zip(row, col)) == 0
 
 
 def test_circle_homology(pentagon):
@@ -223,7 +219,7 @@ def test_links_of_rp2_face_complex_factor_small(monkeypatch):
     real = homology.smith_normal_form
 
     def recording(M):
-        shapes.append(M.shape)
+        shapes.append((len(M), len(M[0]) if M else 0))
         return real(M)
 
     monkeypatch.setattr(homology, "smith_normal_form", recording)

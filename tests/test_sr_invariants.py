@@ -16,6 +16,11 @@ from srcox.complex_core import (
     gen_simplex,
 )
 from srcox.errors import DomainError
+from srcox.homology import (
+    entry_coh_degrees,
+    integral_subset_scan,
+    reduced_homology,
+)
 from srcox.sr_invariants import (
     BettiTable,
     betti_table,
@@ -25,6 +30,7 @@ from srcox.sr_invariants import (
     facet_bound,
     gl_index,
     is_cohen_macaulay,
+    link_candidates,
     regularity,
     tower_N,
     vcd_nerve,
@@ -225,6 +231,46 @@ def test_claim_frozen(pentagon, rp2):
 @given(random_flags, st.sampled_from(["z", "q", "f2"]))
 def test_claim_on_corpus(cpx, coeff):
     assert cdreg_claim_check(cpx, coeff).equal
+
+
+# -- witnesses are first maxima ------------------------------------------
+
+def _first_max(pairs, kind):
+    """Witness of the first key whose degree tuple ends highest, by a
+    plain loop; None when every tuple is empty."""
+    best = key = None
+    for k, degs in pairs:
+        if degs and (best is None or degs[-1] > best):
+            best, key = degs[-1], k
+    return None if key is None else {kind: bits_of(key), "degree": best}
+
+
+@given(random_flags, st.sampled_from(["q", "f2"]))
+def test_witnesses_are_first_maxima(cpx, field):
+    scan = integral_subset_scan(cpx)
+    full = (1 << cpx.n) - 1
+    faces = cpx.faces()
+    assert regularity(cpx, field).witness == _first_max(
+        ((A, entry_coh_degrees(e, field)) for A, e in enumerate(scan)),
+        "subset")
+    link_degs = (
+        (g, reduced_homology(cpx.link(bits_of(g)), "z")
+         .cohomology_nonzero_degrees(field))
+        for g in link_candidates(cpx))
+    assert regularity(cpx, field, "links").witness == \
+        _first_max(link_degs, "face")
+    assert vcd_nerve(cpx).witness == _first_max(
+        ((f, entry_coh_degrees(scan[full & ~f], "z")) for f in faces),
+        "face")
+    for coeff in ("z", field):
+        def nonneg(entry):
+            return tuple(d for d in entry_coh_degrees(entry, coeff)
+                         if d >= 0)
+        rep = cdreg_claim_check(cpx, coeff)
+        assert rep.lhs_witness == _first_max(
+            ((f, nonneg(scan[full & ~f])) for f in faces), "face")
+        assert rep.rhs_witness == _first_max(
+            ((A, nonneg(e)) for A, e in enumerate(scan)), "subset")
 
 
 # -- Eagon-Reiner --------------------------------------------------------

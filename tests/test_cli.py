@@ -356,3 +356,167 @@ def test_json_reports_frozen(capsys, tmp_path, name):
         text = json.dumps(env["report"], indent=2, sort_keys=True)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert tuple(digests) == FROZEN_REPORTS[name]
+
+
+# inputs of the other commands: generated ones and literal .cplx texts
+COMMAND_INPUTS = {
+    "pentagon": ["cycle", "--k", "5"],
+    "rp2_six": ["rp2_six"],
+    "octahedron": ["cross_polytope", "--d", "3"],
+    "two": "isolated: a b\n",
+    "three": "isolated: a b c\n",
+    "path": "a b\nb c\n",
+    "tri": "a b c\nc d\n",
+}
+# (command, input, options, exit code, sha256 of the JSON report); taken
+# before the code behind these commands changed
+COMMAND_RUNS = (
+    ("largeness", "pentagon", [], 0,
+     "a20580030d905b7c3456fd00a1595ce4a1f870b059f0b242d316c2162f45a3fe"),
+    ("largeness", "rp2_six", [], 0,
+     "571e2d4b5b521fcdfe298533927ff2fbf937022ea5732f89594e4e7ab14bc5a9"),
+    ("largeness", "octahedron", [], 0,
+     "a6aa853d7f4bb7ae1e7f5dafc4b3b9d50315d6314ecf87a786ea7ff54604b605"),
+    ("index", "pentagon", ["--mode", "combinatorial"], 0,
+     "1ed7130faefe5880040754e1b37414ea9985a63a394571ba87ee660880dda930"),
+    ("index", "rp2_six", ["--mode", "combinatorial"], 0,
+     "700d1477f11eee671f4ce390250e54d734fc4eadc699a8a3a1aa2de3b9c4470c"),
+    ("index", "pentagon", ["--mode", "algebraic", "--field", "q"], 0,
+     "094a4078f24231ad3187b31df4a60fb7db43d4849baf0bdc93fb4be150f48e23"),
+    ("index", "rp2_six", ["--mode", "algebraic", "--field", "f2"], 0,
+     "c82d8f40d8ecbd945aaa6b95d7a509624adfa9e158ddf0ad379b445ed242147f"),
+    ("cm", "rp2_six", ["--field", "q"], 0,
+     "19264cbc5822f0dfab164f193634af84e478520493e9b2d858ec55c644972514"),
+    ("cm", "rp2_six", ["--field", "f2"], 0,
+     "e9e55769289ea99cfc6fed30a0127fef7bbc8b1f85f337681900f5e5b8676378"),
+    ("dual", "pentagon", [], 0,
+     "451f581502f442f8600e78130d5b62caf23ebf958a194bf58b94c873fc74a572"),
+    ("dual", "rp2_six", [], 0,
+     "27f46955199d0b77d418109ef6efed4229ae941a1af366c6b4c1f6ef20e8369a"),
+    ("facecomplex", "pentagon", [], 0,
+     "5e26272d085c0034656fdb3e5b4fe5ad61d235934142082f215ce81562cde87d"),
+    ("facecomplex", "rp2_six", [], 0,
+     "969bcb9c87fb8621e6b36fbe7cb9cdc8c35e794fa90db31f0be78c03bb4c0736"),
+    ("coxeter-table", "two", ["--max-len", "6"], 0,
+     "ee20b1b0e9d3a2be5a0b7d2ffd251e4e688602ad0709a2a6ef2cb445b1304b50"),
+    ("coxeter-table", "two", ["--max-len", "6", "--set", "spherical"], 0,
+     "5f05df4bfa4f3b6e787b9dfcc6474efb9099ed0f498d90fcb04a17209d105212"),
+    ("coxeter-table", "pentagon", ["--max-len", "4"], 0,
+     "5754f36f83a07c3dea7abd68cec1f55ee161b9b40442e73a0ab1abd5630e5d2f"),
+    ("coxeter-table", "pentagon", ["--max-len", "4", "--set", "spherical"],
+     0, "4b8517ae3bc79b6d03a2b7ea710651460efe68f0309c64805a0e63d3269b7ce8"),
+    ("coxeter-search", "pentagon", ["--mod", "7", "--k", "5"], 0,
+     "90e4032d4bc25a68c8c89cf76dd0f8816118b2ef72ee6da16ee9690e6358e8e4"),
+    ("coxeter-search", "pentagon", ["--mod", "5", "--k", "5"], 0,
+     "f3847852a67539506c59351cf2cfe080c5ce15373875860c93c90b274e8dc3e5"),
+    ("coxeter-search", "pentagon",
+     ["--mod", "7", "--k", "5", "--budget", "50"], 3,
+     "4000ea59daefef7edf22d9a7f6aaaf1cf9f374cdd8d0c1c5cf2886a5453181ee"),
+    ("construct", "pentagon", ["--k", "5", "--mod", "5"], 4,
+     "1fbbdfeec8eb8640d155fdc6f489ac115754d24f0a21c8d10345664de78058ed"),
+)
+# bounds options, with and without --reg (ignored by the kinds that have
+# no holds_for), and the sha256 of each JSON report
+BOUNDS_RUNS = (
+    (["dhs", "--n", "10", "--p", "2"],
+     "23f90b0f49d4722eba49ab0106cb2f9bfbe9f488efe181e80ca1baab6b979c26"),
+    (["dhs", "--n", "10", "--p", "2", "--reg", "3"],
+     "aff5887473796e440b68f02fedde58e1247e41d3ea69421182b630c6359d9108"),
+    (["dhs", "--n", "10", "--p", "2", "--reg", "4"],
+     "910c686810c0345af2a595e159c961f8a679f3c2d23ac229141cc31ce84e00a1"),
+    (["dhs", "--n", "10", "--p", "2", "--reg", "-3"],
+     "2557a6451add219aba98a3ac5224297372241dae55ffa22d74adfd047c6277aa"),
+    (["cm_double_log", "--n", "100", "--p", "2"],
+     "90bf05335ff998de1983cdc3f85c68ca6f08d4c449c886590b29f4e5d5945e63"),
+    (["cm_double_log", "--n", "100", "--p", "2", "--reg", "4"],
+     "c5e7fec11f4fb9800f6c222eeaa757e6ba873cecad40206f5bc9d66540a497f8"),
+    (["cm_double_log", "--n", "100", "--p", "2", "--reg", "5"],
+     "a4fe8a3ed94ae0279e59bf9d477f227f5be21978975b07f4d665911255348fd2"),
+    (["cm_double_log", "--n", "100", "--p", "2", "--reg", "1"],
+     "1d0db355e08ce89aea0eb2855a9448307a10d83be02eb97a8dab01995a614ba4"),
+    (["facet", "--d", "3", "--p", "2"],
+     "6d7b859a606d77946843a335231061836c27825d7ff6e8a7bc3ce2969b9cf751"),
+    (["facet", "--d", "3", "--p", "2", "--reg", "3"],
+     "6d7b859a606d77946843a335231061836c27825d7ff6e8a7bc3ce2969b9cf751"),
+    (["vertex", "--d", "1", "--p", "2"],
+     "c6c2cb187ca5e51185b077432b9f7c2edbca7efbce82e518021a2b7e02702552"),
+    (["vertex", "--d", "1", "--p", "2", "--reg", "3"],
+     "c6c2cb187ca5e51185b077432b9f7c2edbca7efbce82e518021a2b7e02702552"),
+    (["tower", "--p", "2", "--r", "3"],
+     "4997b5981cc0287697a4fe041b9bb6b1c8b0fa1ea351e3ba66fdabe38cb9300f"),
+    (["tower", "--p", "2", "--r", "3", "--reg", "3"],
+     "4997b5981cc0287697a4fe041b9bb6b1c8b0fa1ea351e3ba66fdabe38cb9300f"),
+)
+# emitted constructions: sha256 of the report, the .cplx and the
+# .cert.json sidecar
+CONSTRUCT_RUNS = (
+    ("two", ["--k", "4", "--mod", "5"], (
+        "727d53eea722a62e0abbaf6656f595767527d56e9f5231ccf3b8bdc2f7933c32",
+        "d57ba2e1a70b9ec10ae948563679b15a17e7f0c284e6079c42b54607e75b0b2f",
+        "085b77533e0182f9f708fe8b32cdea6914213e5e5ecfc3a3eb56d9489c086ee7")),
+    ("three", ["--k", "4", "--mod", "3"], (
+        "5f885a70825f88b72fe6715f515288841894f11a53bbced5697829d582c91be2",
+        "94f360ac98618ec61f16e73d30443ddbeb469aa0378ff23ef717ec4fb0a277bb",
+        "53f977bec4bf16c36913bea7bdbc8f319956b6abba7c97445e22c4dd14b65767")),
+    ("two", ["--k", "6"], (
+        "77f6651e04d08c09697f8afe8772eb05dd18527e4db26735cee6686eeeb37b01",
+        "85afbea9044ec0715bfce044667217abf6086c3a78b0b59390198fafec02b8b5",
+        "6bcbb749871d6570a5b56c82dc3c5693413743129ea903b64189ee26f904556a")),
+    ("path", ["--k", "4", "--mod", "5"], (
+        "1ce2935d42506cd57b619fccda1ac2342245017d310e18045ed03c01158448d8",
+        "dfd90f4ecb9c5bbf53bd6a52c0040613c3348a9d7cdc0c0f075e5df3e8a29a1a",
+        "bc5259787097e38d4169d016d49b69ab282ed45f41482a799f2186fe20e1803b")),
+    ("tri", ["--k", "4", "--mod", "7"], (
+        "1d34454d03aef151b79363d7a0f0b3dc3beb62fa4cacd524d10e94d58f0c0f7a",
+        "6a40205b910ff8aa622895341a5ffd460d94f4d2bc3e540184ec8184d9dbec88",
+        "944ef5ebc78793172aa3712b3e777d85258f043ad3d19bcecddc69b6d9de32b3")),
+)
+
+
+def _command_input(tmp_path, name):
+    path = tmp_path / f"{name}.cplx"
+    spec = COMMAND_INPUTS[name]
+    if isinstance(spec, str):
+        path.write_text(spec)
+    else:
+        assert main(["gen", *spec, "--out", str(path)]) == 0
+    return str(path)
+
+
+def _report_digest(env):
+    text = json.dumps(env["report"], indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command, name, opts, code, digest", COMMAND_RUNS,
+    ids=[f"{r[0]}-{r[1]}-{i}" for i, r in enumerate(COMMAND_RUNS)])
+def test_command_reports_frozen(capsys, tmp_path, command, name, opts, code,
+                                digest):
+    path = _command_input(tmp_path, name)
+    got, env, _ = jrun(capsys, [command, path, *opts, "--format", "json"])
+    assert (got, _report_digest(env)) == (code, digest)
+
+
+def test_bounds_reports_frozen(capsys):
+    for opts, digest in BOUNDS_RUNS:
+        code, env, _ = jrun(capsys, ["bounds", *opts, "--format", "json"])
+        assert (code, _report_digest(env)) == (0, digest), opts
+
+
+@pytest.mark.parametrize(
+    "name, opts, digests", CONSTRUCT_RUNS,
+    ids=[f"{r[0]}-{i}" for i, r in enumerate(CONSTRUCT_RUNS)])
+def test_construct_outputs_frozen(capsys, tmp_path, name, opts, digests):
+    path = _command_input(tmp_path, name)
+    out = tmp_path / "out.cplx"
+    code, env, _ = jrun(capsys, ["construct", path, *opts, "--out", str(out),
+                                 "--format", "json"])
+    assert code == 0
+    got = (_report_digest(env), _file_digest(out),
+           _file_digest(tmp_path / "out.cert.json"))
+    assert got == digests

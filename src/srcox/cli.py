@@ -7,6 +7,7 @@ feeding the echoed argument list back in.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,6 +52,7 @@ def fmt_value(x):
     return str(x)
 
 
+@functools.cache  # one parser per process: building it costs ~2 ms
 def build_parser():
     p = argparse.ArgumentParser(
         prog="srcox",

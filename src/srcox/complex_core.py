@@ -46,44 +46,15 @@ def sort_faces(masks):
     return out
 
 
-class Face:
-    """A face as a sorted duplicate-free vertex list."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices):
-        vs = tuple(sorted(int(v) for v in vertices))
-        for a, b in zip(vs, vs[1:]):
-            if a == b:
-                raise InputError(f"duplicate vertex {a} in face")
-        self.vertices = vs
-
-    @property
-    def mask(self):
-        return mask_of(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __eq__(self, other):
-        return isinstance(other, Face) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def __repr__(self):
-        return f"Face{self.vertices}"
-
-
 def _face_mask(sigma):
-    if isinstance(sigma, Face):
-        return sigma.mask
-    if isinstance(sigma, int):
-        return sigma
-    return mask_of(sigma)
+    return sigma if isinstance(sigma, int) else mask_of(sigma)
+
+
+class _Antichain(tuple):
+    """Sorted facet masks that `_maximal` has reduced: the constructor
+    takes them without testing the antichain again."""
+
+    __slots__ = ()
 
 
 def _maximal(masks):
@@ -104,19 +75,19 @@ def _maximal(masks):
         elif out:
             continue  # the empty face lies in every kept mask
         out.append(m)
-    return tuple(sorted(out))
+    return _Antichain(sorted(out))
 
 
 class SimplicialComplex:
     __slots__ = ("n", "facets", "labels", "_faces", "_scan")
 
     def __init__(self, n, facets, labels=None):
-        facets = tuple(sorted(facets))
-        full = (1 << n) - 1
-        for f in facets:
-            if f & ~full:
-                raise DomainError("facet outside vertex range")
-        if _maximal(facets) != facets:
+        trusted = isinstance(facets, _Antichain)
+        given = facets if trusted else sorted(facets)
+        if given and (given[0] < 0 or given[-1] >> n):  # ends: extremes
+            raise DomainError("facet outside vertex range")
+        facets = given if trusted else _maximal(given)
+        if len(facets) != len(given):  # it dropped a repeat or a subface
             raise DomainError("facets must form an antichain")
         if labels is not None:
             labels = tuple(str(t) for t in labels)
@@ -156,7 +127,16 @@ class SimplicialComplex:
                 ids[tok] = len(ids)
             masks.append(1 << ids[tok])
         labels = tuple(sorted(ids, key=ids.get))
-        return cls(len(ids), _maximal(masks), labels)
+        return cls.from_masks(len(ids), masks, labels)
+
+    @classmethod
+    def from_masks(cls, n, masks, labels=None):
+        """The complex generated by the given face masks: its facets are
+        the maximal ones, found in one pass."""
+        masks = list(masks)
+        if min(masks, default=0) < 0:
+            raise DomainError("facet outside vertex range")
+        return cls(n, _maximal(masks), labels)
 
     # -- basic queries ---------------------------------------------------
 
@@ -245,7 +225,7 @@ class SimplicialComplex:
         if keep_label_of is None:
             keep_label_of = self.label_of
         labels = tuple(keep_label_of(v) for v in verts)
-        return SimplicialComplex(len(verts), _maximal(new), labels)
+        return SimplicialComplex.from_masks(len(verts), new, labels)
 
     def link(self, sigma):
         s = _face_mask(sigma)
@@ -277,7 +257,8 @@ class SimplicialComplex:
                     m |= 1 << idx[mask_of(c)]
             new_facets.append(m)
         labels = tuple(self.face_label(f) for f in faces)
-        return SimplicialComplex(len(faces), _maximal(new_facets), labels)
+        # distinct facets have incomparable sets of subfaces
+        return SimplicialComplex(len(faces), new_facets, labels)
 
     def minimal_nonfaces(self):
         """Masks of minimal nonfaces, i.e. generators of the nonface ideal.
@@ -493,7 +474,7 @@ def gen_cycle(k):
     if k < 3:
         raise DomainError("cycle needs at least 3 vertices")
     facets = [mask_of((i, (i + 1) % k)) for i in range(k)]
-    return SimplicialComplex(k, _maximal(facets), tuple(map(str, range(k))))
+    return SimplicialComplex(k, facets, tuple(map(str, range(k))))
 
 
 def gen_simplex(d):
@@ -508,8 +489,7 @@ def gen_boundary_simplex(d):
         raise DomainError("boundary needs dimension >= 1")
     full = (1 << (d + 1)) - 1
     facets = [full ^ (1 << v) for v in range(d + 1)]
-    return SimplicialComplex(d + 1, _maximal(facets),
-                             tuple(map(str, range(d + 1))))
+    return SimplicialComplex(d + 1, facets, tuple(map(str, range(d + 1))))
 
 
 def gen_cross_polytope(d):
@@ -523,8 +503,7 @@ def gen_cross_polytope(d):
         for i in range(d):
             m |= 1 << (i + d if (pick >> i) & 1 else i)
         facets.append(m)
-    return SimplicialComplex(2 * d, _maximal(facets),
-                             tuple(map(str, range(2 * d))))
+    return SimplicialComplex(2 * d, facets, tuple(map(str, range(2 * d))))
 
 
 RP2_SIX_FACETS = (
@@ -535,7 +514,7 @@ RP2_SIX_FACETS = (
 
 def gen_rp2_six():
     facets = [mask_of(f) for f in RP2_SIX_FACETS]
-    return SimplicialComplex(6, _maximal(facets), tuple(map(str, range(6))))
+    return SimplicialComplex(6, facets, tuple(map(str, range(6))))
 
 
 def gen_random_flag(n, edge_density, seed=0):
@@ -553,7 +532,7 @@ def gen_random_flag(n, edge_density, seed=0):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     facets = _max_cliques(adj, n)
-    return SimplicialComplex(n, _maximal(facets), tuple(map(str, range(n))))
+    return SimplicialComplex(n, facets, tuple(map(str, range(n))))
 
 
 def generate(kind, *, k=None, d=None, n=None, density=None, seed=0):

@@ -10,7 +10,7 @@ Degrees are reduced: the empty face lives in degree -1, so the complex
 none anywhere.
 """
 
-from .complex_core import FACE_BUDGET, bits_of, sort_faces
+from .complex_core import FACE_BUDGET, _maximal, bits_of, sort_faces
 from .errors import DomainError, PropertyViolation, ResourceError
 from .exact_linalg import is_prime, rank, smith_normal_form
 
@@ -316,9 +316,7 @@ def facet_nerve(facet_masks):
     for i, f in enumerate(uniq):
         for v in bits_of(f):
             membership[v] = membership.get(v, 0) | (1 << i)
-    t_sets = set(membership.values())
-    return [t for t in t_sets
-            if not any(t != u and t & ~u == 0 for u in t_sets)]
+    return _maximal(membership.values())
 
 
 # -- full scan over induced subcomplexes ---------------------------------

@@ -11,7 +11,7 @@ import hashlib
 import json
 from itertools import combinations
 
-from .complex_core import SimplicialComplex, _maximal, bits_of, mask_of
+from .complex_core import SimplicialComplex, bits_of, mask_of
 from .errors import DomainError, PropertyViolation, ResourceError
 from .racg import (
     DEFAULT_BALL_BUDGET,
@@ -101,7 +101,7 @@ def image_group(rep, m, budget=DEFAULT_GROUP_BUDGET):
 
 
 class QuotientComplex:
-    """Cells g.image(W_T) of the quotient, one per face T and coset."""
+    """Cells g.image(W_T) of the quotient, one per nerve facet T and coset."""
 
     __slots__ = ("group", "cells", "coset_sizes_ok")
 
@@ -116,11 +116,13 @@ class QuotientComplex:
 
 
 def quotient_complex(rep, group):
+    """Cells of the nerve's facets only: a face T lies in a facet T', so
+    g.W_T lies in g.W_T' and collapses only if g.W_T' does."""
     if group.rep is not rep:
         raise DomainError("group was built from a different representation")
     cells = {}
     sizes_ok = True
-    for t_mask in rep.nerve.faces():
+    for t_mask in rep.nerve.facets:
         verts = bits_of(t_mask)
         words = [sub for r in range(len(verts) + 1)
                  for sub in combinations(verts, r)]
@@ -138,8 +140,8 @@ def thicken(q):
     """Simplicial complex on the group elements: every cell becomes the
     simplex on its vertex set, and vertex i is element i."""
     order = q.group.order
-    return SimplicialComplex(
-        order, _maximal(mask_of(es) for _, es in q.cells),
+    return SimplicialComplex.from_masks(
+        order, (mask_of(es) for _, es in q.cells),
         tuple(f"g{i}" for i in range(order)))
 
 

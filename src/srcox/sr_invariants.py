@@ -13,11 +13,11 @@ appear only in display fields.
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .complex_core import (
     FACE_BUDGET,
     INF,
-    SimplicialComplex,
     bits_of,
     sort_faces,
 )
@@ -354,6 +354,22 @@ def cdreg_claim_check(cpx, coeff="z", cap=DEFAULT_SCAN_CAP):
 
 # -- exact bounds --------------------------------------------------------
 
+def _pow_cmp(x, e, y, k=0):
+    """Sign of x^(e * 2^k) - y for rational x >= 1, integers e, k >= 0.
+    Square-and-multiply from the top bit: a partial power never exceeds
+    the full one, so the pass stops as soon as one exceeds y."""
+    if x == 1:
+        return (1 > y) - (1 < y)
+    r = 1
+    for bit in chain(bin(e)[2:], repeat("0", k)):
+        r *= r
+        if bit == "1":
+            r *= x
+        if r > y:
+            return 1
+    return -(r < y)
+
+
 class LogBound:
     """reg <= log_base(arg) + shift, tested as base^(reg-shift) <= arg."""
 
@@ -367,7 +383,11 @@ class LogBound:
         self.params = params
 
     def holds_for(self, reg):
-        return self.base ** (reg - self.shift) <= self.arg
+        e = reg - self.shift
+        if e >= 0:
+            return _pow_cmp(self.base, e, self.arg) <= 0
+        # base^e <= arg exactly when base^-e >= 1/arg
+        return self.arg > 0 and _pow_cmp(self.base, -e, 1 / self.arg) >= 0
 
     def approx(self):
         if self.arg <= 0:
@@ -398,8 +418,8 @@ class DoubleLogBound:
     def holds_for(self, reg):
         e = reg - 3
         if e >= 0:
-            return self.base ** (1 << e) <= self.n
-        return self.base <= Fraction(self.n) ** (1 << (-e))
+            return _pow_cmp(self.base, 1, self.n, e) <= 0
+        return _pow_cmp(self.n, 1, self.base, -e) >= 0
 
     def approx(self):
         inner = math.log(self.n) / math.log(self.base) if self.n > 1 else 0.0
@@ -434,8 +454,8 @@ class RootBound:
         if x <= 0:
             return False
         if self.exp2 >= 0:
-            return self.base ** (1 << self.exp2) < x
-        return self.base < Fraction(x) ** (1 << (-self.exp2))
+            return _pow_cmp(self.base, 1, x, self.exp2) < 0
+        return _pow_cmp(x, 1, self.base, -self.exp2) > 0
 
     def approx(self):
         try:

@@ -7,7 +7,7 @@ import pytest
 
 from srcox import complex_core
 from srcox import quotient_builder as qb
-from srcox.cli import main
+from srcox.cli import build_parser, main
 
 
 @pytest.fixture
@@ -164,6 +164,18 @@ def test_bounds(capsys):
     assert code == 2 and "needs" in err
 
 
+@pytest.mark.parametrize("opts, holds", [
+    (["cm_double_log", "--n", "100", "--p", "2", "--reg", "40"], False),
+    (["cm_double_log", "--n", "100", "--p", "2", "--reg", "-40"], True),
+    (["dhs", "--n", "10", "--p", "2", "--reg", "100000000"], False),
+    (["dhs", "--n", "10", "--p", "2", "--reg", "-100000000"], True),
+])
+def test_bounds_decide_huge_exponents(capsys, opts, holds):
+    # powers of 2^37, 2^43 and 10^8: decided once a partial power passes
+    code, env, _ = jrun(capsys, ["bounds", *opts, "--format", "json"])
+    assert code == 0 and env["report"]["holds"] is holds
+
+
 def test_coxeter_table(capsys, two_file):
     code, out, _ = run(capsys, ["coxeter-table", two_file, "--max-len", "4"])
     assert code == 0 and "total: 9" in out
@@ -233,6 +245,8 @@ def test_argparse_behavior(capsys):
     capsys.readouterr()
     assert main(["reg"]) == 2
     capsys.readouterr()
+    # one parser per process serves every call, failed parses included
+    assert build_parser() is build_parser()
 
 
 def test_construct_failed_check_exits_4(capsys, monkeypatch, two_file):

@@ -13,7 +13,6 @@ from oracles import (
 from srcox import complex_core
 from srcox.complex_core import (
     INF,
-    Face,
     SimplicialComplex,
     _maximal,
     bits_of,
@@ -29,6 +28,8 @@ from srcox.complex_core import (
 )
 from srcox.errors import DomainError, InputError, ResourceError
 from srcox.homology import profile_from_facets
+from srcox.quotient_builder import image_group, quotient_complex, thicken
+from srcox.racg import build_system
 
 
 def facet_sets(cpx):
@@ -45,13 +46,6 @@ random_flags = st.builds(
 # empty mask left in
 mask_lists = st.integers(0, 7).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10)))
-
-
-def test_face_sorts_and_rejects_duplicates():
-    assert Face([3, 1, 2]).vertices == (1, 2, 3)
-    assert Face([1, 3]).mask == 0b1010
-    with pytest.raises(InputError):
-        Face([1, 1, 2])
 
 
 def test_mask_round_trip():
@@ -94,6 +88,32 @@ def test_maximal_matches_pairwise(case):
     want = sorted({m for m in masks
                    if not any(m != f and m & ~f == 0 for f in masks)})
     assert _maximal(masks) == tuple(want)
+
+
+def test_each_builder_reduces_once(monkeypatch):
+    # the antichain is established once: by the builder's own _maximal
+    # call, or by the constructor's check of a list already an antichain
+    two = SimplicialComplex.from_facets([], ["a", "b"])
+    rep = build_system(two)
+    q = quotient_complex(rep, image_group(rep, 5))
+    cpx = gen_rp2_six()
+    real = complex_core._maximal
+    calls = []
+
+    def counting(masks):
+        calls.append(masks)
+        return real(masks)
+
+    monkeypatch.setattr(complex_core, "_maximal", counting)
+    for build in (lambda: parse_cplx("a b c\nb c\nc d\n"),
+                  lambda: thicken(q),
+                  lambda: gen_cycle(6),
+                  cpx.face_complex,
+                  lambda: cpx.induced([0, 1, 2, 3]),
+                  lambda: cpx.link([0])):
+        calls.clear()
+        build()
+        assert len(calls) == 1
 
 
 def test_void_and_empty_distinction():

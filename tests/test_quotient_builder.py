@@ -1,11 +1,17 @@
 """Finite quotients mod m, Davis-style cells, thickening, certificates."""
 
 import hashlib
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from srcox.complex_core import SimplicialComplex, bits_of, gen_cycle
+from srcox.complex_core import (
+    SimplicialComplex,
+    bits_of,
+    gen_cycle,
+    mask_of,
+    parse_cplx,
+)
 from srcox import quotient_builder as qb
 from srcox.errors import DomainError, ResourceError
 from srcox.quotient_builder import (
@@ -80,13 +86,40 @@ def test_quotient_cells_ten_cycle(free_rep):
     g = image_group(free_rep, 5)
     q = quotient_complex(free_rep, g)
     assert q.coset_sizes_ok
-    verts = [es for t, es in q.cells if t == 0]
-    edges = [es for t, es in q.cells if t != 0]
-    assert len(verts) == 10 and len(edges) == 10
-    assert all(len(es) == 1 for es in verts)
-    assert all(len(es) == 2 for es in edges)
-    # empty-face cells come first, one per group element in index order
-    assert [min(es) for es in verts] == list(range(10))
+    # only the nerve's facets, the two points, give cells: ten edges,
+    # with every element in one edge per generator
+    assert len(q.cells) == 10
+    assert all(t != 0 and len(es) == 2 for t, es in q.cells)
+    assert sorted(e for _, es in q.cells for e in es) == \
+        sorted(list(range(10)) * 2)
+
+
+def _cells_of_every_face(rep, group):
+    """Cosets of every nerve face and whether none collapses."""
+    cells, ok = set(), True
+    for t in rep.nerve.faces():
+        words = [w for r in range(t.bit_count() + 1)
+                 for w in combinations(bits_of(t), r)]
+        for g in range(group.order):
+            coset = frozenset(group.times(g, w) for w in words)
+            ok = ok and len(coset) == len(words)
+            cells.add(coset)
+    return cells, ok
+
+
+@pytest.mark.parametrize("text", ["isolated: a b\n", "isolated: a b c\n",
+                                  "a b\nb c\n", "a b c\nc d\n",
+                                  "a b\nb c\nc d\nd a\n"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_facet_cells_thicken_like_every_face(text, m):
+    # a face's coset lies in its facet's coset and collapses only with it
+    rep = build_system(parse_cplx(text))
+    group = image_group(rep, m)
+    q = quotient_complex(rep, group)
+    cells, ok = _cells_of_every_face(rep, group)
+    assert q.coset_sizes_ok == ok
+    assert thicken(q) == SimplicialComplex.from_masks(
+        group.order, [mask_of(c) for c in cells])
 
 
 def test_quotient_rejects_foreign_rep(free_rep):

@@ -321,6 +321,25 @@ def test_root_bounds_frozen():
     assert not big.less_than(2 ** (1 << 10))
 
 
+@given(st.integers(2, 6), st.integers(1, 40), st.integers(-6, 9),
+       st.integers(1, 5))
+def test_bounds_match_direct_powers(p, n, reg, d):
+    # the early-exit comparison gives the answers of plain exponentiation
+    base = Fraction((p + 3) ** 2, 12)
+    if n >= 2:
+        b = dhs_bound(n, p)
+        assert b.holds_for(reg) == (b.base ** (reg - 2) <= b.arg)
+    e = reg - 3
+    want = base ** (1 << e) <= n if e >= 0 else \
+        base <= Fraction(n) ** (1 << -e)
+    assert cm_double_log_bound(n, p).holds_for(reg) == want
+    for rb in (facet_bound(d, p), vertex_bound(d, p)):
+        k = rb.exp2
+        want = n > 0 and (base ** (1 << k) < n if k >= 0 else
+                          base < Fraction(n) ** (1 << -k))
+        assert rb.less_than(n) == want
+
+
 def test_tower_frozen():
     t = tower_N(2, 2)
     assert t.value == 5

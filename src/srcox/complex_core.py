@@ -84,7 +84,8 @@ class SimplicialComplex:
     def __init__(self, n, facets, labels=None):
         trusted = isinstance(facets, _Antichain)
         given = facets if trusted else sorted(facets)
-        if given and (given[0] < 0 or given[-1] >> n):  # ends: extremes
+        # sorted: the first mask is the least and the last the largest
+        if given and (given[0] < 0 or given[-1] >> n):
             raise DomainError("facet outside vertex range")
         facets = given if trusted else _maximal(given)
         if len(facets) != len(given):  # it dropped a repeat or a subface

@@ -335,8 +335,8 @@ def test_bounds_match_direct_powers(p, n, reg, d):
     assert cm_double_log_bound(n, p).holds_for(reg) == want
     for rb in (facet_bound(d, p), vertex_bound(d, p)):
         k = rb.exp2
-        want = n > 0 and (base ** (1 << k) < n if k >= 0 else
-                          base < Fraction(n) ** (1 << -k))
+        want = base ** (1 << k) < n if k >= 0 else \
+            base < Fraction(n) ** (1 << -k)
         assert rb.less_than(n) == want
 
 

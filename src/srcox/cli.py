@@ -463,10 +463,12 @@ def cmd_construct(args, argv):
         lines = [f"undecided: {e}"] + _cert_lines(cert)
         _emit(args, argv, report, lines)
         return 3
-    report = {
-        "certificate": cert.to_dict(),
-        "complex": _complex_report(out),
-    }
+    report = None  # text mode prints the lines only
+    if args.format == "json":
+        report = {
+            "certificate": cert.to_dict(),
+            "complex": _complex_report(out),
+        }
     lines = _cert_lines(cert) + [
         f"output: n={out.n}, {len(out.facets)} facets, dim {out.dim}"]
     _emit(args, argv, report, lines)

@@ -287,7 +287,8 @@ def profile_from_facets(facet_masks, face_budget=FACE_BUDGET, allow_nerve=True):
     core = 0
     for m in nonzero:
         core |= m
-    while b := _dominated_bit(nonzero, core):
+    stars = _stars(nonzero)
+    while b := _dominated_bit(stars, core):
         core ^= b
     if core & (core - 1) == 0:
         return ()  # collapses to a point
@@ -321,34 +322,69 @@ def facet_nerve(facet_masks):
 
 # -- full scan over induced subcomplexes ---------------------------------
 
-def _dominated_bit(facets, A):
-    """Bit of a vertex of A that is dominated in the induced subcomplex
-    K_A, or 0 when no vertex is.
+def _stars(facets):
+    """For each vertex bit v of the given facets, the pair (N[v], the
+    facets through v), where the closed neighbourhood N[v] is the union
+    of the facets through v."""
+    stars = {}
+    for f in facets:
+        rest = f
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            star = stars.get(b)
+            if star is None:
+                stars[b] = [f, [f]]
+            else:
+                star[0] |= f
+                star[1].append(f)
+    return stars
 
-    v is dominated when another vertex lies in every facet of K_A
-    through v; deleting it is a strong collapse (Barmak-Minian), so K_A
-    and K_{A - v} have the same integral homology.  A vertex of A in no
-    face of K_A counts as dominated by any other vertex of A.  The
-    facets of K_A are the maximal restrictions f & A: meeting the raw
-    restrictions would stay sound but miss most dominations."""
-    tops = []
-    # a proper superset is the larger number, so it is met first
-    for r in sorted({f & A for f in facets}, reverse=True):
-        for t in tops:
-            if r & t == r:
-                break
-        else:
-            tops.append(r)
+
+def _dominated_bit(stars, A):
+    """Lowest bit of a vertex of A that is dominated in the induced
+    subcomplex K_A, or 0 when no vertex is; `stars` is `_stars` of the
+    facets of K.
+
+    b is dominated by u when u lies in every facet of K_A through b;
+    deleting b is then a strong collapse (Barmak-Minian), so K_A and
+    K_{A - b} have the same integral homology.  A vertex of A in no
+    face of K_A counts as dominated by any other vertex of A.
+
+    Every face of K_A through b lies in some f & A with f a facet of K
+    through b, so u dominates b exactly when each (f & A) | u is a face,
+    that is, lies in a facet through u.  Each w of N[b] & A then shares
+    a facet with u, so N[b] & A inside N[u] is necessary: one AND rules
+    out most candidates u before any facet is read."""
     rest = A
     while rest:
         b = rest & -rest
         rest ^= b
-        meet = A
-        for t in tops:
-            if t & b:
-                meet &= t
-        if meet != b:
-            return b
+        star = stars.get(b)
+        if star is None:
+            if A != b:
+                return b
+            continue
+        near, through_b = star
+        near &= A
+        cands = near ^ b
+        while cands:
+            u = cands & -cands
+            cands ^= u
+            near_u, through_u = stars[u]
+            if near & ~near_u:
+                continue
+            for f in through_b:
+                if f & u:
+                    continue  # (f & A) | u lies in f itself
+                r = f & A | u
+                for g in through_u:
+                    if not r & ~g:
+                        break
+                else:
+                    break  # (f & A) | u is no face
+            else:
+                return b
     return 0
 
 
@@ -369,11 +405,12 @@ def integral_subset_scan(cpx, cap=DEFAULT_SCAN_CAP):
         cpx._scan = ((),) * total
         return cpx._scan
     faces = [f for f in cpx.faces() if f]
+    stars = _stars(facets)
     out = [None] * total
     out[0] = ((-1, 1, ()),)
     shared = {}  # few distinct entries: hold each one once
     for A in range(1, total):
-        v = _dominated_bit(facets, A)
+        v = _dominated_bit(stars, A)
         if v:
             # A ^ v < A, so the ascending loop has filled it already
             out[A] = out[A ^ v]

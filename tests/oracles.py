@@ -315,3 +315,56 @@ def oracle_ball(generators, radius):
             break
         levels.append(new)
     return levels
+
+
+def oracle_dominated(facets, A):
+    """Vertices of A dominated in the induced subcomplex K_A.
+
+    The facets of K_A are the maximal restrictions f & A; v is dominated
+    when the tops through v meet in more than v.  A vertex of A in no
+    face of K_A meets nothing, so it is dominated when A has another
+    vertex."""
+    A = frozenset(A)
+    restrictions = {frozenset(f) & A for f in facets}
+    tops = [r for r in restrictions if not any(r < s for s in restrictions)]
+    out = set()
+    for v in A:
+        meet = set(A)
+        for t in tops:
+            if v in t:
+                meet &= t
+        if meet != {v}:
+            out.add(v)
+    return out
+
+
+# --- growth series --------------------------------------------------------
+
+def oracle_growth_series(facets, radius):
+    """Level counts 0..radius of the standard Cayley ball of the
+    right-angled Coxeter group with nerve L generated by `facets`.
+
+    1/W(t) = sum over the faces s of L, the empty one included, of
+    (-t/(1+t))^|s|, so W(t) = (1+t)^d / P(t) with d = dim L + 1 and
+    P(t) = sum_s (-t)^|s| (1+t)^(d-|s|).  P(0) = 1, so the power-series
+    division stays in the integers."""
+    faces = close_faces(facets)
+    d = max(len(f) for f in faces)
+
+    def binomials(e):
+        row = [1]
+        for _ in range(e):
+            row = [a + b for a, b in zip(row + [0], [0] + row)]
+        return row
+
+    P = [0] * (d + 1)
+    for f in faces:
+        s = len(f)
+        for i, c in enumerate(binomials(d - s)):
+            P[s + i] += (-1) ** s * c
+    num = binomials(d) + [0] * radius
+    W = []
+    for k in range(radius + 1):
+        W.append(num[k] - sum(P[i] * W[k - i]
+                              for i in range(1, min(k, d) + 1)))
+    return W

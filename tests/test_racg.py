@@ -1,11 +1,13 @@
 """Integer reflection representations, Cayley balls, kernel searches."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_ball
+from oracles import oracle_ball, oracle_growth_series
 from srcox import racg
 from srcox.complex_core import (
     SimplicialComplex,
+    bits_of,
     gen_cross_polytope,
     gen_cycle,
     gen_random_flag,
@@ -266,3 +268,28 @@ def test_sufficient_modulus():
         sufficient_modulus(-1, 4)
     with pytest.raises(DomainError):
         sufficient_modulus(0, 3)
+
+
+def _assert_ball_follows_growth_series(nerve, radius=7):
+    """The standard ball's level counts are the power-series coefficients
+    of the nerve's growth series (Steinberg): a third route besides the
+    walker and oracle_ball, with exact integers only."""
+    want = oracle_growth_series([tuple(bits_of(f)) for f in nerve.facets],
+                                radius)
+    got = word_ball(build_system(nerve), radius).level_counts
+    # a finite group's walk stops at its first empty level
+    assert got + [0] * (radius + 1 - len(got)) == want
+
+
+# the series counts words in the standard generators only
+@pytest.mark.parametrize(
+    "nerve", [nerve for nerve, gset, _ in BALL_CASES if gset == "standard"])
+def test_word_ball_matches_growth_series(nerve):
+    _assert_ball_follows_growth_series(nerve)
+
+
+@given(st.builds(gen_random_flag, st.integers(5, 7), st.floats(0.2, 0.8),
+                 st.integers(0, 10 ** 6)))
+@settings(max_examples=10)
+def test_word_ball_matches_growth_series_random_flags(nerve):
+    _assert_ball_follows_growth_series(nerve)

@@ -10,6 +10,7 @@ from srcox.complex_core import (
     INF,
     SimplicialComplex,
     bits_of,
+    gen_boundary_simplex,
     gen_cross_polytope,
     gen_cycle,
     gen_random_flag,
@@ -284,6 +285,47 @@ def test_eagon_reiner(cpx):
         return
     assert betti_table(dual, "q").projdim - 1 == regularity(cpx).value
     assert betti_table(cpx, "q").projdim - 1 == regularity(dual).value
+
+
+def _assert_cm_iff_dual_linear(cpx, coeff):
+    """Eagon-Reiner: K is CM over k exactly when the Stanley-Reisner ideal
+    of the Alexander dual has a linear resolution over k, that is, when
+    j - i is one constant over the dual's entries with i >= 1.  Reisner's
+    link route on one side, the subset scan of a non-flag dual on the
+    other."""
+    dual = cpx.alexander_dual()
+    if dual.is_void():
+        # K is a full simplex; the dual's ideal is the unit ideal
+        assert is_cohen_macaulay(cpx, coeff)
+        return
+    strands = {j - i for i, j in betti_table(dual, coeff).entries if i >= 1}
+    assert is_cohen_macaulay(cpx, coeff) == (len(strands) <= 1)
+
+
+CRITERION_6_NAMED = (
+    [gen_cycle(k) for k in range(4, 10)]
+    + [gen(d) for d in range(2, 5) for gen in (gen_simplex,
+                                               gen_boundary_simplex)]
+    + [gen_cross_polytope(d) for d in (2, 3)]
+    + [SimplicialComplex.from_facets([], ["a", "b"])])
+
+
+@pytest.mark.parametrize("coeff", ["q", "f2"])
+def test_eagon_reiner_cm_named(rp2, coeff):
+    for cpx in CRITERION_6_NAMED:
+        _assert_cm_iff_dual_linear(cpx, coeff)
+    _assert_cm_iff_dual_linear(rp2, coeff)
+    # RP^2 is CM over Q but not over F2, so its dual is linear over Q only
+    strands = {j - i for i, j in betti_table(rp2.alexander_dual(), coeff)
+               .entries if i >= 1}
+    assert len(strands) == (1 if coeff == "q" else 2)
+
+
+@given(random_flags)
+@settings(max_examples=60)
+def test_eagon_reiner_cm_random_flags(cpx):
+    for coeff in ("q", "f2"):
+        _assert_cm_iff_dual_linear(cpx, coeff)
 
 
 # -- exact bounds --------------------------------------------------------

@@ -287,19 +287,23 @@ def test_eagon_reiner(cpx):
     assert betti_table(cpx, "q").projdim - 1 == regularity(dual).value
 
 
-def _assert_cm_iff_dual_linear(cpx, coeff):
-    """Eagon-Reiner: K is CM over k exactly when the Stanley-Reisner ideal
-    of the Alexander dual has a linear resolution over k, that is, when
-    j - i is one constant over the dual's entries with i >= 1.  Reisner's
-    link route on one side, the subset scan of a non-flag dual on the
-    other."""
+def _dual_strands(cpx, coeff):
+    """The values of j - i over the entries with i >= 1 of the Betti
+    table of the Alexander dual; none when the dual is void (K is a full
+    simplex and the dual's ideal is the unit ideal)."""
     dual = cpx.alexander_dual()
     if dual.is_void():
-        # K is a full simplex; the dual's ideal is the unit ideal
-        assert is_cohen_macaulay(cpx, coeff)
-        return
-    strands = {j - i for i, j in betti_table(dual, coeff).entries if i >= 1}
-    assert is_cohen_macaulay(cpx, coeff) == (len(strands) <= 1)
+        return set()
+    return {j - i for i, j in betti_table(dual, coeff).entries if i >= 1}
+
+
+def _assert_cm_iff_dual_linear(cpx, coeff):
+    """Eagon-Reiner: K is CM over k exactly when the Stanley-Reisner ideal
+    of the Alexander dual has a linear resolution over k, that is, one
+    strand.  Reisner's link route on one side, the subset scan of a
+    non-flag dual on the other."""
+    assert is_cohen_macaulay(cpx, coeff) == (len(_dual_strands(cpx, coeff))
+                                             <= 1)
 
 
 CRITERION_6_NAMED = (
@@ -316,9 +320,7 @@ def test_eagon_reiner_cm_named(rp2, coeff):
         _assert_cm_iff_dual_linear(cpx, coeff)
     _assert_cm_iff_dual_linear(rp2, coeff)
     # RP^2 is CM over Q but not over F2, so its dual is linear over Q only
-    strands = {j - i for i, j in betti_table(rp2.alexander_dual(), coeff)
-               .entries if i >= 1}
-    assert len(strands) == (1 if coeff == "q" else 2)
+    assert len(_dual_strands(rp2, coeff)) == (1 if coeff == "q" else 2)
 
 
 @given(random_flags)

@@ -50,6 +50,37 @@ def _face_mask(sigma):
     return sigma if isinstance(sigma, int) else mask_of(sigma)
 
 
+def face_closure(facet_masks):
+    """Every face of the complex generated by the given sequence of
+    masks, the empty face included unless the sequence is empty, in
+    (size, vertex tuple) order.
+
+    The budget is FACE_BUDGET distinct faces, read at call time: a mask
+    with more subsets raises before any enumeration, and otherwise the
+    closure raises once the faces gathered pass the budget (checked
+    after each mask, so at most twice the budget is ever held).
+    """
+    budget = FACE_BUDGET
+    top = max(map(int.bit_count, facet_masks), default=0)
+    if 1 << top > budget:
+        raise ResourceError(
+            f"face closure reached 0 faces from 0 of {len(facet_masks)} "
+            f"facets: one facet has {1 << top} faces, budget {budget}")
+    faces = set()
+    for i, f in enumerate(facet_masks, 1):
+        sub = f
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+        if len(faces) > budget:
+            raise ResourceError(
+                f"face closure reached {len(faces)} faces from {i} of "
+                f"{len(facet_masks)} facets, budget {budget}")
+    return sort_faces(faces)
+
+
 class _Antichain(tuple):
     """Sorted facet masks that `_maximal` has reduced: the constructor
     takes them without testing the antichain again."""
@@ -163,30 +194,10 @@ class SimplicialComplex:
     def face_label(self, mask):
         return "{" + ",".join(self.label_of(v) for v in bits_of(mask)) + "}"
 
-    def faces(self, budget=FACE_BUDGET):
+    def faces(self):
         """All face masks including 0, sorted by (size, vertex tuple)."""
-        if self._faces is not None:
-            return self._faces
-        if not self.facets:
-            self._faces = ()
-            return self._faces
-        seen = set(self.facets)
-        frontier = list(self.facets)
-        while frontier:
-            f = frontier.pop()
-            m = f
-            while m:
-                b = m & -m
-                sub = f ^ b
-                if sub not in seen:
-                    seen.add(sub)
-                    frontier.append(sub)
-                m ^= b
-            if len(seen) > budget:
-                raise ResourceError(
-                    f"face enumeration exceeded budget of {budget} faces")
-        seen.add(0)
-        self._faces = tuple(sort_faces(seen))
+        if self._faces is None:
+            self._faces = tuple(face_closure(self.facets))
         return self._faces
 
     def f_vector(self):

@@ -10,7 +10,7 @@ Degrees are reduced: the empty face lives in degree -1, so the complex
 none anywhere.
 """
 
-from .complex_core import FACE_BUDGET, _maximal, bits_of, sort_faces
+from .complex_core import _maximal, bits_of, face_closure
 from .errors import DomainError, PropertyViolation, ResourceError
 from .exact_linalg import is_prime, rank, smith_normal_form
 
@@ -175,12 +175,12 @@ class HomologyProfile:
         return f"HomologyProfile({coeff_name(self.coeff)}, {self.entries})"
 
 
-def reduced_homology(cpx, coeff="z", face_budget=FACE_BUDGET):
+def reduced_homology(cpx, coeff="z"):
     """Reduced homology profile of a SimplicialComplex."""
     coeff = parse_coeff(coeff)
     if cpx.is_void():
         return HomologyProfile(coeff, ())
-    masks = [f for f in cpx.faces(face_budget) if f]
+    masks = [f for f in cpx.faces() if f]
     if coeff == "z":
         return HomologyProfile("z", _integral_entries(masks))
     return HomologyProfile(coeff, _field_entries(masks, coeff))
@@ -251,33 +251,16 @@ def _prime_factors(x):
     return out
 
 
-# -- homology straight from facet masks, with one nerve fallback ---------
+# -- homology straight from facet masks, with nerve hops -----------------
 
-def _close_masks(facet_masks, budget):
-    """Nonempty faces of the given facets, in (size, vertex tuple) order."""
-    est = sum(1 << m.bit_count() for m in set(facet_masks))
-    if est > budget:
-        raise ResourceError(
-            f"face closure would touch about {est} subsets, budget {budget}")
-    faces = set()
-    for f in facet_masks:
-        sub = f
-        while True:
-            faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & f
-    faces.discard(0)
-    return sort_faces(faces)
-
-
-def profile_from_facets(facet_masks, face_budget=FACE_BUDGET, allow_nerve=True):
+def profile_from_facets(facet_masks):
     """Integral homology entries for the complex generated by the given
     facet masks.  Dominated vertices are deleted first (strong
     collapses, see `_dominated_bit`), so a cone ends as one point.  A
-    core with large top faces takes one pass through the nerve of the
-    facet cover (facet intersections are simplices, so the nerve has the
-    same homotopy type)."""
+    core of more than 4096 estimated faces moves to the nerve of its
+    facet cover when the nerve's estimate is smaller (facet
+    intersections are simplices, so the nerve has the same homotopy
+    type); each such hop shrinks the estimate, so the hops end."""
     facet_masks = list(facet_masks)
     if not facet_masks:
         return ()
@@ -294,19 +277,13 @@ def profile_from_facets(facet_masks, face_budget=FACE_BUDGET, allow_nerve=True):
         return ()  # collapses to a point
     nonzero = [t for t in {m & core for m in nonzero} if t]
     est = sum(1 << m.bit_count() for m in nonzero)
-    if est <= min(face_budget, 4096):
-        return _integral_entries(_close_masks(nonzero, face_budget))
-    if allow_nerve:
+    if est > 4096:
         # big top faces, few of them: the nerve is usually far smaller
         nerve = facet_nerve(nonzero)
-        if sum(1 << t.bit_count() for t in set(nerve)) < est:
-            return profile_from_facets(nerve, face_budget,
-                                       allow_nerve=False)
-    if est <= face_budget:
-        return _integral_entries(_close_masks(nonzero, face_budget))
-    raise ResourceError(
-        f"complex too large even after nerve reduction "
-        f"(about {est} faces, budget {face_budget})")
+        if sum(1 << t.bit_count() for t in nerve) < est:
+            return profile_from_facets(nerve)
+    # face_closure lists the empty face first
+    return _integral_entries(face_closure(nonzero)[1:])
 
 
 def facet_nerve(facet_masks):

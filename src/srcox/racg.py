@@ -8,7 +8,7 @@ whose mod-m reductions furnish the finite quotients used downstream.
 
 import numpy as np
 
-from .complex_core import INF, bits_of
+from .complex_core import bits_of
 from .errors import DomainError, ResourceError
 from .exact_linalg import IntMatrix
 
@@ -20,17 +20,12 @@ _SAFE_PRODUCT = 1 << 62
 
 
 class RacgRepresentation:
-    __slots__ = ("nerve", "coxeter_matrix", "cosine", "generators", "n")
+    __slots__ = ("nerve", "generators", "n")
 
-    def __init__(self, nerve, coxeter_matrix, cosine, generators):
+    def __init__(self, nerve, generators):
         self.nerve = nerve
-        self.coxeter_matrix = coxeter_matrix
-        self.cosine = cosine
         self.generators = generators
         self.n = nerve.n
-
-    def dim(self):
-        return self.nerve.dim
 
     def __repr__(self):
         return f"RacgRepresentation(n={self.n})"
@@ -59,9 +54,6 @@ def build_system(nerve):
             "the right-angled correspondence needs a flag complex")
     n = nerve.n
     adj = nerve.adjacency()
-    cox = tuple(tuple(
-        1 if i == j else (2 if adj[i] >> j & 1 else INF)
-        for j in range(n)) for i in range(n))
     cosine = tuple(tuple(
         1 if i == j else (0 if adj[i] >> j & 1 else -1)
         for j in range(n)) for i in range(n))
@@ -72,7 +64,7 @@ def build_system(nerve):
             # rho(s_i) = I - 2 e_i . row_i(cosine)
             rows[i][j] = (1 if i == j else 0) - 2 * cosine[i][j]
         gens.append(IntMatrix(rows))
-    return RacgRepresentation(nerve, cox, cosine, tuple(gens))
+    return RacgRepresentation(nerve, tuple(gens))
 
 
 def spherical_elements(rep):
@@ -109,11 +101,10 @@ class BallReport:
 
     __slots__ = ("generating_set", "max_length", "level_counts",
                  "level_max_entry", "complete", "elements", "words",
-                 "element_levels", "index")
+                 "element_levels")
 
     def __init__(self, generating_set, max_length, level_counts,
-                 level_max_entry, complete, elements, words, element_levels,
-                 index):
+                 level_max_entry, complete, elements, words, element_levels):
         self.generating_set = generating_set
         self.max_length = max_length
         self.level_counts = level_counts
@@ -122,7 +113,6 @@ class BallReport:
         self.elements = elements
         self.words = words
         self.element_levels = element_levels
-        self.index = index
 
     def element(self, i):
         return GroupElement(IntMatrix(self.elements[i]), self.words[i])
@@ -184,7 +174,7 @@ def word_ball(rep, max_length, generating_set="standard",
     def report(complete):
         return BallReport(generating_set, max_length, level_counts,
                           level_max_entry, complete, elements, words,
-                          element_levels, index)
+                          element_levels)
 
     def add(key, word, length, found):
         index[key] = len(elements)

@@ -15,12 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .complex_core import (
-    FACE_BUDGET,
-    INF,
-    bits_of,
-    sort_faces,
-)
+from .complex_core import INF, bits_of, sort_faces
 from .errors import DomainError, ResourceError
 from .homology import (
     DEFAULT_SCAN_CAP,
@@ -163,10 +158,12 @@ class RegularityReport:
                 f"{coeff_name(self.field)})")
 
 
-def link_candidates(cpx, cap=CANDIDATE_CAP):
+def link_candidates(cpx):
     """Faces that can carry a non-cone link: intersections of facet
     subsets equal to the meet of all facets containing them.  Any face
-    outside this list has a cone vertex in its link."""
+    outside this list has a cone vertex in its link.  More than
+    CANDIDATE_CAP intersections raise ResourceError."""
+    cap = CANDIDATE_CAP
     facets = cpx.facets
     seen = set(facets)
     work = list(facets)
@@ -178,7 +175,8 @@ def link_candidates(cpx, cap=CANDIDATE_CAP):
                 seen.add(h)
                 if len(seen) > cap:
                     raise ResourceError(
-                        f"link candidate closure exceeded cap {cap}")
+                        f"link candidate closure reached {len(seen)} "
+                        f"intersections of {len(facets)} facets, cap {cap}")
                 work.append(h)
     out = []
     for g in seen:
@@ -196,8 +194,7 @@ def _link_facets(cpx, g):
     return [f & ~g for f in cpx.facets if g & ~f == 0]
 
 
-def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,
-               face_budget=FACE_BUDGET):
+def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP):
     """Regularity as the largest i with nonzero (i-1)-st cohomology of
     an induced subcomplex (method induced) or of a face link (links)."""
     coeff = _field(coeff)
@@ -210,7 +207,7 @@ def regularity(cpx, coeff="q", method="induced", cap=DEFAULT_SCAN_CAP,
     if method != "links":
         raise DomainError(f"unknown regularity method {method!r}")
     top, g = _first_top(
-        ((g, profile_from_facets(_link_facets(cpx, g), face_budget))
+        ((g, profile_from_facets(_link_facets(cpx, g)))
          for g in link_candidates(cpx)), coeff)
     witness = {"face": bits_of(g), "degree": top}
     return RegularityReport(top + 1, "links", witness, coeff)
@@ -246,7 +243,7 @@ def gl_index(cpx, mode="combinatorial", coeff="q", cap=DEFAULT_SCAN_CAP):
 
 # -- Cohen-Macaulayness --------------------------------------------------
 
-def is_cohen_macaulay(cpx, coeff="q", face_budget=FACE_BUDGET):
+def is_cohen_macaulay(cpx, coeff="q"):
     """Reisner's criterion: every face link has homology only in its top
     dimension.  Cone links are acyclic, so only meet-irreducible faces
     need checking."""
@@ -256,7 +253,7 @@ def is_cohen_macaulay(cpx, coeff="q", face_budget=FACE_BUDGET):
     for g in link_candidates(cpx):
         lf = _link_facets(cpx, g)
         link_dim = max(m.bit_count() for m in lf) - 1
-        degs = entry_coh_degrees(profile_from_facets(lf, face_budget), coeff)
+        degs = entry_coh_degrees(profile_from_facets(lf), coeff)
         if any(d < link_dim for d in degs):
             return False
     return True
@@ -540,9 +537,11 @@ def _twr(b, bit_budget):
     return v
 
 
-def tower_N(p, r, bit_budget=TOWER_BIT_BUDGET):
+def tower_N(p, r):
     """Recursive vertex-count threshold: N(p,2) = p+3 and
-    N(p,r) = (2*(2^^(r-2)) + 1)^((p+2) * N(p,r-1)^2)."""
+    N(p,r) = (2*(2^^(r-2)) + 1)^((p+2) * N(p,r-1)^2); the exact value
+    is dropped past TOWER_BIT_BUDGET bits."""
+    bit_budget = TOWER_BIT_BUDGET
     if p < 2:
         raise DomainError("tower needs p >= 2")
     if r < 2:

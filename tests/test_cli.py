@@ -147,6 +147,16 @@ def test_clique_budget_exits_3(capsys, monkeypatch, tmp_path):
     assert "visited 101 cliques" in err
 
 
+@pytest.mark.parametrize("argv", [["reg", "--method", "links"], ["cm"],
+                                  ["betti"], ["vcd"]])
+def test_face_budget_exits_3(capsys, monkeypatch, pent_file, argv):
+    # the pentagon has 11 faces; the second of its 5 edges passes 5
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 5)
+    code, out, err = run(capsys, argv + [pent_file])
+    assert code == 3 and not out
+    assert "reached 6 faces from 2 of 5 facets, budget 5" in err
+
+
 def test_largeness(capsys, pent_file):
     code, out, _ = run(capsys, ["largeness", pent_file])
     assert code == 0

@@ -16,6 +16,7 @@ from srcox.complex_core import (
     SimplicialComplex,
     _maximal,
     bits_of,
+    face_closure,
     gen_boundary_simplex,
     gen_cross_polytope,
     gen_cycle,
@@ -139,6 +140,39 @@ def test_faces_match_reference_closure(cpx):
     if not cpx.facets:
         want = set()
     assert set(cpx.faces()) == want
+
+
+@st.composite
+def mask_complexes(draw):
+    """Complexes generated by random masks on n <= 9 vertices."""
+    n = draw(st.integers(0, 9))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    return SimplicialComplex.from_masks(n, masks)
+
+
+@given(mask_complexes())
+@example(SimplicialComplex(0, []))
+@example(SimplicialComplex(0, [0]))
+def test_face_closure_matches_oracle(cpx):
+    got = face_closure(cpx.facets)
+    want = {mask_of(f) for f in close_faces(
+        [tuple(bits_of(m)) for m in cpx.facets])}
+    assert list(cpx.faces()) == got == complex_core.sort_faces(want)
+
+
+def test_face_closure_budget_is_exact(monkeypatch, octahedron):
+    count = len(face_closure(octahedron.facets))  # 27
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", count)
+    assert len(face_closure(octahedron.facets)) == count
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", count - 1)
+    with pytest.raises(ResourceError, match=f"reached {count} faces "
+                                            f"from 8 of 8 facets"):
+        face_closure(octahedron.facets)
+    # a facet with more subsets than the budget raises before any
+    # enumeration: a 40-simplex would need 2^40 steps to list
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 1 << 10)
+    with pytest.raises(ResourceError, match="reached 0 faces from 0 of 2"):
+        face_closure([(1 << 40) - 1, 1 << 41])
 
 
 def test_contains(pentagon):

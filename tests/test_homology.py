@@ -11,8 +11,10 @@ from oracles import (
     oracle_field_betti,
     oracle_integral_homology,
 )
+from srcox import complex_core
 from srcox.complex_core import (
     SimplicialComplex,
+    face_closure,
     gen_boundary_simplex,
     gen_cross_polytope,
     gen_cycle,
@@ -168,16 +170,17 @@ def test_nerve_route_agrees(rp2, pentagon):
         assert direct == nerved
 
 
-def test_profile_budget():
+def test_profile_budget(monkeypatch):
     # two disjoint 22-simplices: far past the direct budget, but each
     # collapses to a point, so neither the nerve nor a budget is needed
     a = (1 << 23) - 1
     b = a << 23
-    assert profile_from_facets([a, b], face_budget=1 << 10,
-                               allow_nerve=False) == ((0, 1, ()),)
-    assert profile_from_facets([a, b], face_budget=1 << 10) == ((0, 1, ()),)
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 1 << 10)
+    assert profile_from_facets([a, b]) == ((0, 1, ()),)
     # a lone big simplex is a cone, so no budget is ever needed
-    assert profile_from_facets([a], face_budget=1 << 4) == ()
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 1 << 4)
+    assert profile_from_facets([a]) == ()
+    monkeypatch.undo()
     # no vertex collapses here: vertex S (a 4-subset of {0..7}) lies in
     # facet i for i in S, and those four facets meet in S alone.  Eight
     # 35-vertex facets are past any budget, but the nerve is the full
@@ -187,7 +190,7 @@ def test_profile_budget():
               for i in range(8)]
     assert profile_from_facets(facets) == ((3, 35, ()),)
     with pytest.raises(ResourceError):
-        profile_from_facets(facets, allow_nerve=False)
+        face_closure(facets)
 
 
 @st.composite

@@ -16,7 +16,8 @@ from srcox.complex_core import (
     gen_random_flag,
     gen_simplex,
 )
-from srcox.errors import DomainError
+from srcox import sr_invariants
+from srcox.errors import DomainError, ResourceError
 from srcox.homology import (
     entry_coh_degrees,
     integral_subset_scan,
@@ -395,6 +396,20 @@ def test_tower_frozen():
     assert "N(2,3)" in t.expr
     with pytest.raises(DomainError):
         tower_N(2, 1)
+
+
+def test_tower_bit_budget_read_when_called(monkeypatch):
+    monkeypatch.setattr(sr_invariants, "TOWER_BIT_BUDGET", 100)
+    t = tower_N(2, 3)  # 5^100 has 233 bits
+    assert t.value is None and t.to_dict()["value"] is None
+
+
+def test_candidate_cap_read_when_called(monkeypatch):
+    cpx = gen_cross_polytope(3)  # 8 facets, 27 facet intersections
+    monkeypatch.setattr(sr_invariants, "CANDIDATE_CAP", 10)
+    with pytest.raises(ResourceError,
+                       match="reached 11 intersections of 8 facets, cap 10"):
+        link_candidates(cpx)
 
 
 # -- top homology bound --------------------------------------------------

@@ -497,9 +497,9 @@ CONSTRUCT_RUNS = (
 )
 
 
-def _command_input(tmp_path, name):
+def _command_input(tmp_path, name, inputs=COMMAND_INPUTS):
     path = tmp_path / f"{name}.cplx"
-    spec = COMMAND_INPUTS[name]
+    spec = inputs[name]
     if isinstance(spec, str):
         path.write_text(spec)
     else:
@@ -544,3 +544,235 @@ def test_construct_outputs_frozen(capsys, tmp_path, name, opts, digests):
     got = (_report_digest(env), _file_digest(out),
            _file_digest(tmp_path / "out.cert.json"))
     assert got == digests
+
+
+# text output: every run of test_json_reports_frozen and COMMAND_RUNS, plus
+# gen, dual and facecomplex with and without --out (stderr and the written
+# file included); the temporary directory reads as <tmp>
+TEXT_INPUTS = {**FROZEN_INPUTS, **COMMAND_INPUTS,
+               "simplex": "a b c\n",         # its dual is void
+               "boundary": "a b\nb c\nc a\n"}  # its dual is {empty face}
+TEXT_RUNS = tuple(dict.fromkeys(  # COMMAND_RUNS has dual and facecomplex
+    [(command, name, *opts) for name in sorted(FROZEN_INPUTS)
+     for command, *opts in FROZEN_RUNS]
+    + [(command, name, *opts) for command, name, opts, _, _ in COMMAND_RUNS]
+    + [("gen", *spec, *out)
+       for spec in (("cycle", "--k", "5"),
+                    ("random_flag", "--n", "6", "--density", "0.5",
+                     "--seed", "3"),
+                    ("simplex", "--d", "0"))
+       for out in ((), ("--out",))]
+    + [(command, name, *out) for command in ("dual", "facecomplex")
+       for name in ("pentagon", "rp2_six", "simplex", "boundary")
+       for out in ((), ("--out",))]))
+# sha256 of exit code, stdout, stderr and written file, by " ".join(run)
+TEXT_DIGESTS = {
+    "betti flag_10_2 --field q":
+        "4033e0c8ddeab579bd8268975405bd0e61133d8602d49364acea59574c20306f",
+    "betti flag_10_2 --field f2":
+        "f241dcabca7f68d877da6f03420cc838cc6eb36a6fbb152ec6c65c23bf5b475d",
+    "reg flag_10_2 --field q":
+        "d68ca1874e1037029e4ae7ea272626960aac12d30070cec766629366b7d2511f",
+    "reg flag_10_2 --field f2":
+        "205f69991553064dcc837e53dcc285055378ac3307a2a3555ddadf959161594a",
+    "reg flag_10_2 --field q --method links":
+        "f687737406fccfbc9cab3a3ed627375899cde19c21bfc5ec0f988159f6ce7944",
+    "reg flag_10_2 --field f2 --method links":
+        "befe1ad2bda260eff86197ca01878f279aaf8eea2b8f4443d386e4b645acbdc3",
+    "vcd flag_10_2":
+        "61e13dae24eaa2daa1fa1d4c46083fc806ca0c23c33970be9d3a64247bff624b",
+    "claim flag_10_2 --field z":
+        "3cb6f07995e2fd300963ccfa1f0b0f8bbb1a9f0f10bab2d0e3dd9d8cabab794e",
+    "claim flag_10_2 --field f2":
+        "436eaa1435e88fdbc0f9670e2cd5bacfae8ab7865cef0cf882aaa81f8052007a",
+    "betti flag_11_3 --field q":
+        "4c50ce45458867389ad8258c6cbfb31d36a0564dcc74619e619a182e48c0f3b2",
+    "betti flag_11_3 --field f2":
+        "672367fda37425b9695af387e9a4a77188b75190022f49029673487863134f7e",
+    "reg flag_11_3 --field q":
+        "bfa851f6b05b0d70de7db7c2ddaacac160352bb95ef094c145368bf54c57be29",
+    "reg flag_11_3 --field f2":
+        "1ab7b50c06a40b8703bb174fc19b24e092e789e60a9b0e576d93da72079d1ef5",
+    "reg flag_11_3 --field q --method links":
+        "d53e970d97169d38878e276c3a59b9ac3b5d967e162e0de2808fd5d15d3308ec",
+    "reg flag_11_3 --field f2 --method links":
+        "670e4bd820a671163a9c81848bad8961be781ea17e9ecd9f36adbf94a8978eba",
+    "vcd flag_11_3":
+        "e4b1fa76220d2bbe095996b45cdec6bffdf0330d07d56f0259ccad101bdf7a44",
+    "claim flag_11_3 --field z":
+        "3cb6f07995e2fd300963ccfa1f0b0f8bbb1a9f0f10bab2d0e3dd9d8cabab794e",
+    "claim flag_11_3 --field f2":
+        "436eaa1435e88fdbc0f9670e2cd5bacfae8ab7865cef0cf882aaa81f8052007a",
+    "betti flag_9_1 --field q":
+        "2593496e475324c4e0fafa119d985ad6cf212d56384da2dbf6b717a30fc85495",
+    "betti flag_9_1 --field f2":
+        "c355bcc84f8f418022bacf1ed1e9c27bc0de91bea809193e50f287d7814ffb45",
+    "reg flag_9_1 --field q":
+        "ccb9d2a0c16136e762482d579a9ec333bf378259285b53d27c536667b8375dd2",
+    "reg flag_9_1 --field f2":
+        "d0fcb7dd04c4edc1a6a4dc5ddf49d2456719c1359c21d3bf1e377a89a2ae4cd2",
+    "reg flag_9_1 --field q --method links":
+        "81beb652948ddd80d59f48110745c9b51b1d66dd1a02f937868602b5ddc1c2c7",
+    "reg flag_9_1 --field f2 --method links":
+        "41462ab952a6101c870fbdcfb45a1e18ccfc4b6ad5116b2520008d8f52c0233b",
+    "vcd flag_9_1":
+        "e95e1c300b4318c2c0c3c18e351b25f27bd22ecfe8c8109deaab7590a6933384",
+    "claim flag_9_1 --field z":
+        "3cb6f07995e2fd300963ccfa1f0b0f8bbb1a9f0f10bab2d0e3dd9d8cabab794e",
+    "claim flag_9_1 --field f2":
+        "436eaa1435e88fdbc0f9670e2cd5bacfae8ab7865cef0cf882aaa81f8052007a",
+    "betti octahedron --field q":
+        "57c79ab81065bd71892c66ba31c93365d7b2998c2b042a2489be77e013dfb5b2",
+    "betti octahedron --field f2":
+        "c295e8769b3088c58cdd7624ebc631d51e45a3241ac86fe482d680fe1f86eb6e",
+    "reg octahedron --field q":
+        "b2f90b7ab5262988674e2409bd7ae3c664f5f4f3e592d7c13a821b44eaab0a20",
+    "reg octahedron --field f2":
+        "75133ffee53c84d2b9411bd5c31e564686a06b9f8d2c9d52e4b4fc82f2213bda",
+    "reg octahedron --field q --method links":
+        "a8ea82f5ddfbbdf4533756287ff217ea2a780fce90e883b767e17c6af9eb406e",
+    "reg octahedron --field f2 --method links":
+        "b1911fe13ee6fb435aa991a9ef52c79ec93b086488b507f2c8592c8c8346a79b",
+    "vcd octahedron":
+        "39cd0846f1a396539c01a011d6b004db2b53a0daf8b586c6a9e731221823883b",
+    "claim octahedron --field z":
+        "b15cf0276ea2424f596dad68e2ea98dceb52521ec4cf10627e99c74032880a9f",
+    "claim octahedron --field f2":
+        "ccdbaa5dff60db9459c0bc72696c1254028650ccb03e008059c20a502a588e18",
+    "betti pentagon --field q":
+        "8e21c7667b2cc36d31f23f0021a19992c64495d1d2bf1f24149c74c9f4012e47",
+    "betti pentagon --field f2":
+        "1b71157ef51b6a6a2730b20c62d100a502101f8a3484325f9e4c8f5d8bc5784e",
+    "reg pentagon --field q":
+        "77fe0a36a8590b78f63aa9619d784e1509d5a96f1f1a77e9504b133b82464e10",
+    "reg pentagon --field f2":
+        "0d9f20c08ea41acaaf5f61fb9a2abd588600c3f7000bc479a54bf0b3f73500b1",
+    "reg pentagon --field q --method links":
+        "f687737406fccfbc9cab3a3ed627375899cde19c21bfc5ec0f988159f6ce7944",
+    "reg pentagon --field f2 --method links":
+        "befe1ad2bda260eff86197ca01878f279aaf8eea2b8f4443d386e4b645acbdc3",
+    "vcd pentagon":
+        "61e13dae24eaa2daa1fa1d4c46083fc806ca0c23c33970be9d3a64247bff624b",
+    "claim pentagon --field z":
+        "3cb6f07995e2fd300963ccfa1f0b0f8bbb1a9f0f10bab2d0e3dd9d8cabab794e",
+    "claim pentagon --field f2":
+        "436eaa1435e88fdbc0f9670e2cd5bacfae8ab7865cef0cf882aaa81f8052007a",
+    "betti rp2_six --field q":
+        "1afbb31c6fba46259d75578707948b4ebf5a4615efbef2331a6f8495218e3ff1",
+    "betti rp2_six --field f2":
+        "0a5c078e3512554dbd9ffa0c9c509bcba56a10f5351f1eb007cb8c693c3967d9",
+    "reg rp2_six --field q":
+        "27fbb3deb724ced1b6d70398638e0b81cae30af320e7c530cc657c8cce1afe4b",
+    "reg rp2_six --field f2":
+        "75133ffee53c84d2b9411bd5c31e564686a06b9f8d2c9d52e4b4fc82f2213bda",
+    "reg rp2_six --field q --method links":
+        "e08576999aefa882c90e494ff1f3f6a7831078e5250ef9499b4dd197c1983dcb",
+    "reg rp2_six --field f2 --method links":
+        "b1911fe13ee6fb435aa991a9ef52c79ec93b086488b507f2c8592c8c8346a79b",
+    "vcd rp2_six":
+        "cf44173d2313e14d784806c22c19a1f3f394d2212fb43a5dbeb105d28c64897d",
+    "claim rp2_six --field z":
+        "b15cf0276ea2424f596dad68e2ea98dceb52521ec4cf10627e99c74032880a9f",
+    "claim rp2_six --field f2":
+        "ccdbaa5dff60db9459c0bc72696c1254028650ccb03e008059c20a502a588e18",
+    "largeness pentagon":
+        "00c32c1768f9848f40e8961a47010ad65cc1b6a43b3ef059cac38555b49e3ce4",
+    "largeness rp2_six":
+        "bd6fde92c7d441c98d58358858f5309a13bdb940c2857ab817083ca80ea8114a",
+    "largeness octahedron":
+        "68c10ba9769dbe342b3d46502f7147d5f099e5d032d7fe1ca738520b9b01b2a2",
+    "index pentagon --mode combinatorial":
+        "cc5d3c2fabaa6341c304f252ee322feb0cf94aec498f5568b1af1109f4bbd9db",
+    "index rp2_six --mode combinatorial":
+        "e055ac1e0ad9e7f1382cd14b190a48f0937cb8ae71a2cee0d9d1e6ded97f2d75",
+    "index pentagon --mode algebraic --field q":
+        "b9fabd8fc329efa221c8acc98555319ba7eaee39ded871650c04582a615f6cf9",
+    "index rp2_six --mode algebraic --field f2":
+        "921c966ead7172f49c02c219f47c3d2006257dabc8fcf72a21a7fde26a2d30cf",
+    "cm rp2_six --field q":
+        "e0bfb382f6c2df5a4d83d20720ed72358486a52c605bc445b64ff8fa9711e99f",
+    "cm rp2_six --field f2":
+        "cc2e1026615cd1434fa789cebd3396745d6efec2e1183da5a63848e51e8570db",
+    "dual pentagon":
+        "b4638e3759b8405a3921ce9516e6ebedf62934033e95ecf7bb78d2c8816c87a4",
+    "dual rp2_six":
+        "e1e0f4b7d27765765c755c7f280bf078aa82373b419a137f7b5502c28a8708c2",
+    "facecomplex pentagon":
+        "8cc08f877cb53e4d1ee4a10c45b9f769ecc9524560f8f0d5e2a076e6b1574fac",
+    "facecomplex rp2_six":
+        "150b7756ec0bff29427224710ad7adb3aa24a0dd0e472bc45c728163ba3b48aa",
+    "coxeter-table two --max-len 6":
+        "9fc47b2477a549ea686b148f6a380c75694f09d07e385a7bc59cd1af34add9a4",
+    "coxeter-table two --max-len 6 --set spherical":
+        "9fc47b2477a549ea686b148f6a380c75694f09d07e385a7bc59cd1af34add9a4",
+    "coxeter-table pentagon --max-len 4":
+        "4453801c2e2baf8a5beff2321398af5890015761152e99a4cf9a0d61d4ab66f5",
+    "coxeter-table pentagon --max-len 4 --set spherical":
+        "2123a4a7d651d0a6206aee060c7036f8dd760d0157adadf3004b916ee248e6d8",
+    "coxeter-search pentagon --mod 7 --k 5":
+        "629cf78e05908b75b41c90f3578f8c7615bf6f541169a813e7f254cef8bcbe3d",
+    "coxeter-search pentagon --mod 5 --k 5":
+        "97c89d1a49a0f56f022c6c99fc67f2149a9e42c356ad76d79fb0fa4a796ec1c0",
+    "coxeter-search pentagon --mod 7 --k 5 --budget 50":
+        "efc8df759b44d98f2b1540764bb5532099bcb317ae0a331fbe19a7a2548cff67",
+    "construct pentagon --k 5 --mod 5":
+        "765188292afd00b3b4295859a6364da03e177a48ec7c9320e767b3a4ef5873c6",
+    "gen cycle --k 5":
+        "4d6883e6f52c0661ccf3d30b37310b3fc6f7327e80f88e182ac2841020c28ce4",
+    "gen cycle --k 5 --out":
+        "3770c3026c5afe2e234d735a977fc4caa1852f1c60da4a4b675c4a0775068e05",
+    "gen random_flag --n 6 --density 0.5 --seed 3":
+        "c8b1ebf67207322a89189291e8f963e4ab69de5dabbd509b5e12ed38e4a6ced2",
+    "gen random_flag --n 6 --density 0.5 --seed 3 --out":
+        "0c8c435ad5f034110fd0c39fd4630aeab9e248fa65a035bb89e750184b0d14e1",
+    "gen simplex --d 0":
+        "1b9ddabb3e946610a492d64188e8305447add6231e3666ba6e17e5eccf6d4a1d",
+    "gen simplex --d 0 --out":
+        "6fb449295fbb8e6027db37dd6ba322d53836c844d991bc9636ec91cd2b860d40",
+    "dual pentagon --out":
+        "1cba719792fcd26a316aa39a7da30504a0ac21116bafc24d66283aa532b32765",
+    "dual rp2_six --out":
+        "da8c88939a77570c58bfcf382de5555b77fced82cd371ed26e4a2b3c53c1fb5c",
+    "dual simplex":
+        "80dbf9794c7fc897dc2611c79ab4079abaf56b2c136a8e177bf37590014304b8",
+    "dual simplex --out":
+        "10f4bff165dd63cb09be80bc0c5f032580c5a5d4b4d66cb646a05e781c6ad17b",
+    "dual boundary":
+        "b470c6a97b4e8f057a15c03ae2eeaf9f22297211ff400101f9ebccbc12443274",
+    "dual boundary --out":
+        "bece95e90685137033394966a22b8ac1966a86cf24da829ad7eeb621940b9f18",
+    "facecomplex pentagon --out":
+        "1df162ceebe18c8df560aea4c061e1e006dce73e2b2345975cbe9ea8f4cc6b94",
+    "facecomplex rp2_six --out":
+        "56454ab96a146f5737f5e0d28b6bd9b7ec71bddf45bf0464c11397277ec20cdc",
+    "facecomplex simplex":
+        "66ae1ab643a519e7d3e274920e6b92192f6c4d71fabcc0e33ea954bc6e8593b3",
+    "facecomplex simplex --out":
+        "c9986c813728ffcfb6d80b4748c8db188cc504c3b8d5b8977a8c7d9f9103b629",
+    "facecomplex boundary":
+        "18ccd7982007a2799b681043275bc172f2806aa61fc3505821baee83c57d8dde",
+    "facecomplex boundary --out":
+        "fb65493db258064b1e35ec6d42efae55fca648b97735184af5ddae5c82ce2bf4",
+}
+
+
+def _text_digest(capsys, tmp_path, run_):
+    command, *rest = run_
+    argv = [command]
+    if command != "gen":
+        name, *rest = rest
+        argv.append(_command_input(tmp_path, name, TEXT_INPUTS))
+    out = tmp_path / "out.cplx"
+    for tok in rest:
+        argv += ["--out", str(out)] if tok == "--out" else [tok]
+    code, stdout, stderr = run(capsys, argv + ["--format", "text"])
+    written = out.read_text() if out.exists() else ""
+    text = f"exit {code}\n{stdout}\0{stderr}\0{written}"
+    text = text.replace(str(tmp_path), "<tmp>")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("run_", TEXT_RUNS, ids=" ".join)
+def test_text_reports_frozen(capsys, tmp_path, run_):
+    digest = _text_digest(capsys, tmp_path, run_)
+    assert digest == TEXT_DIGESTS[" ".join(run_)]

@@ -194,7 +194,7 @@ def _emit(args, argv, report, lines):
             print(line)
 
 
-def _write_complex(cpx, path, note=None):
+def _write_complex(cpx, path):
     text = cpx.to_cplx()
     if not text and not cpx.is_void():
         text = "# complex consisting of the empty face only; " \
@@ -204,8 +204,6 @@ def _write_complex(cpx, path, note=None):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if note:
-        print(note, file=sys.stderr)
 
 
 def _complex_report(cpx):
@@ -215,6 +213,20 @@ def _complex_report(cpx):
         "facets": [_labels(cpx, bits_of(f)) for f in cpx.facets],
         "labels": list(cpx.labels) if cpx.labels else None,
     }
+
+
+def _print_complex(args, argv, cpx, extra, note=None):
+    """The JSON report (with extra keys) or the complex itself as text;
+    --out sends the complex to a file, and the note goes to stderr."""
+    if args.format == "json":
+        _emit(args, argv, {**_complex_report(cpx), **extra}, [])
+    if args.out or args.format == "text":
+        _write_complex(cpx, args.out)
+    if note:
+        print(note, file=sys.stderr)
+    if args.out and args.format == "text":
+        print(f"wrote {args.out}: n={cpx.n}, {len(cpx.facets)} facets")
+    return 0
 
 
 def cmd_gen(args, argv):
@@ -228,19 +240,7 @@ def cmd_gen(args, argv):
         raise DomainError("gen random_flag needs --n and --density")
     cpx = generate(kind, k=args.k, d=args.d, n=args.n, density=args.density,
                    seed=args.seed)
-    if args.format == "json":
-        report = _complex_report(cpx)
-        report["cplx"] = cpx.to_cplx()
-        _emit(args, argv, report, [])
-        if args.out:
-            _write_complex(cpx, args.out)
-        return 0
-    if args.out:
-        _write_complex(cpx, args.out)
-        print(f"wrote {args.out}: n={cpx.n}, {len(cpx.facets)} facets")
-    else:
-        _write_complex(cpx, None)
-    return 0
+    return _print_complex(args, argv, cpx, {"cplx": cpx.to_cplx()})
 
 
 def cmd_reg(args, argv):
@@ -339,34 +339,12 @@ def cmd_dual(args, argv):
     elif dual.facets == (0,):
         note = "note: the dual has only the empty face; the output file " \
                "cannot encode it as facet lines"
-    if args.format == "json":
-        report = _complex_report(dual)
-        report["void"] = dual.is_void()
-        _emit(args, argv, report, [])
-        if args.out:
-            _write_complex(dual, args.out, note)
-        elif note:
-            print(note, file=sys.stderr)
-        return 0
-    _write_complex(dual, args.out, note)
-    if args.out:
-        print(f"wrote {args.out}: n={dual.n}, {len(dual.facets)} facets")
-    return 0
+    return _print_complex(args, argv, dual, {"void": dual.is_void()}, note)
 
 
 def cmd_facecomplex(args, argv):
     cpx = load_cplx(args.input)
-    fc = cpx.face_complex()
-    if args.format == "json":
-        report = _complex_report(fc)
-        _emit(args, argv, report, [])
-        if args.out:
-            _write_complex(fc, args.out)
-        return 0
-    _write_complex(fc, args.out)
-    if args.out:
-        print(f"wrote {args.out}: n={fc.n}, {len(fc.facets)} facets")
-    return 0
+    return _print_complex(args, argv, cpx.face_complex(), {})
 
 
 def cmd_largeness(args, argv):
@@ -439,7 +417,7 @@ def cmd_coxeter_search(args, argv):
              f"detail: {res.detail}"]
     if res.witness is not None:
         lines.append("witness: " + " ".join(
-            cpx.label_of(i) for i in res.witness.word))
+            cpx.label_of(i) for i in res.witness))
     _emit(args, argv, report, lines)
     return 3 if res.status == "UNDECIDED" else 0
 

@@ -137,15 +137,6 @@ class HomologyProfile:
     def torsion_at(self, deg):
         return entry_torsion(self.entries, deg) if self.coeff == "z" else ()
 
-    def dim_over(self, deg, coeff):
-        """Dimension of homology at deg over Q or F_p, by universal
-        coefficients when this profile is integral."""
-        if self.coeff != "z":
-            if coeff != self.coeff:
-                raise DomainError("field profile queried over a different field")
-            return self.rank_at(deg)
-        return entry_field_dim(self.entries, deg, coeff)
-
     def nonzero_degrees(self):
         return tuple(e[0] for e in self.entries)
 
@@ -162,14 +153,6 @@ class HomologyProfile:
 
     def torsion_primes(self):
         return entry_torsion_primes(self.entries) if self.coeff == "z" else ()
-
-    def to_dict(self):
-        if self.coeff == "z":
-            groups = {str(d): {"rank": rk, "torsion": list(tors)}
-                      for d, rk, tors in self.entries}
-        else:
-            groups = {str(d): {"dim": dim} for d, dim in self.entries}
-        return {"coeff": coeff_name(self.coeff), "groups": groups}
 
     def __repr__(self):
         return f"HomologyProfile({coeff_name(self.coeff)}, {self.entries})"

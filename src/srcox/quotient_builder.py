@@ -253,10 +253,10 @@ def s_construction(delta, k, m=None, ball_budget=DEFAULT_BALL_BUDGET,
     if search.status == "COUNTEREXAMPLE":
         cert = ConstructionCertificate(
             k, m, search.status, torsion_free=True,
-            counterexample=search.witness.word, detail=search.detail)
+            counterexample=search.witness, detail=search.detail)
         raise ConstructionRejected(
             f"kernel element of small displacement mod {m}: "
-            f"word {list(search.witness.word)}", cert)
+            f"word {list(search.witness)}", cert)
     if search.status == "UNDECIDED":
         cert = ConstructionCertificate(
             k, m, search.status, torsion_free=True, detail=search.detail)

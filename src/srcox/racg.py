@@ -31,21 +31,6 @@ class RacgRepresentation:
         return f"RacgRepresentation(n={self.n})"
 
 
-class GroupElement:
-    __slots__ = ("matrix", "word")
-
-    def __init__(self, matrix, word):
-        self.matrix = matrix
-        self.word = tuple(word)
-
-    def a(self):
-        """Largest absolute entry."""
-        return self.matrix.max_abs()
-
-    def __repr__(self):
-        return f"GroupElement(word={self.word}, a={self.a()})"
-
-
 def build_system(nerve):
     """Canonical reflection representation of the right-angled system
     whose commuting pairs are the nerve's edges."""
@@ -76,10 +61,7 @@ def spherical_elements(rep):
         if not f:
             continue
         verts = tuple(bits_of(f))
-        mat = IntMatrix.identity(rep.n)
-        for i in verts:
-            mat = mat @ rep.generators[i]
-        out.append((verts, mat))
+        out.append((verts, evaluate_word(rep, verts)))
     return out
 
 
@@ -113,9 +95,6 @@ class BallReport:
         self.elements = elements
         self.words = words
         self.element_levels = element_levels
-
-    def element(self, i):
-        return GroupElement(IntMatrix(self.elements[i]), self.words[i])
 
     def total(self):
         return len(self.elements)
@@ -268,7 +247,7 @@ class DisplacementSearch:
             "m": self.m,
             "k": self.k,
             "ball_length": self.ball_length,
-            "witness": list(self.witness.word) if self.witness else None,
+            "witness": list(self.witness) if self.witness else None,
             "elements_seen": self.elements_seen,
             "detail": self.detail,
         }
@@ -300,7 +279,7 @@ def kernel_displacement_search(rep, m, k, budget=DEFAULT_BALL_BUDGET):
     for i in range(1, ball.total()):
         if _is_identity_mod(ball.elements[i], m):
             return DisplacementSearch(
-                "COUNTEREXAMPLE", m, k, length, ball.element(i),
+                "COUNTEREXAMPLE", m, k, length, ball.words[i],
                 ball.total(),
                 f"word of length {ball.element_levels[i]} in the kernel")
     return DisplacementSearch(

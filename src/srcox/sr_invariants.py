@@ -159,10 +159,10 @@ class RegularityReport:
 
 
 def link_candidates(cpx):
-    """Faces that can carry a non-cone link: intersections of facet
-    subsets equal to the meet of all facets containing them.  Any face
-    outside this list has a cone vertex in its link.  More than
-    CANDIDATE_CAP intersections raise ResourceError."""
+    """Faces that can carry a non-cone link: the intersections of
+    nonempty sets of facets.  Any face outside this list has a cone
+    vertex in its link.  More than CANDIDATE_CAP intersections raise
+    ResourceError."""
     cap = CANDIDATE_CAP
     facets = cpx.facets
     seen = set(facets)
@@ -178,15 +178,7 @@ def link_candidates(cpx):
                         f"link candidate closure reached {len(seen)} "
                         f"intersections of {len(facets)} facets, cap {cap}")
                 work.append(h)
-    out = []
-    for g in seen:
-        meet = None
-        for f in facets:
-            if g & ~f == 0:
-                meet = f if meet is None else meet & f
-        if meet == g:
-            out.append(g)
-    return sort_faces(out)
+    return sort_faces(seen)
 
 
 def _link_facets(cpx, g):
@@ -245,7 +237,7 @@ def gl_index(cpx, mode="combinatorial", coeff="q", cap=DEFAULT_SCAN_CAP):
 
 def is_cohen_macaulay(cpx, coeff="q"):
     """Reisner's criterion: every face link has homology only in its top
-    dimension.  Cone links are acyclic, so only meet-irreducible faces
+    dimension.  Cone links are acyclic, so only the link candidates
     need checking."""
     coeff = _field(coeff)
     if cpx.is_void():

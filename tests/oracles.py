@@ -157,6 +157,18 @@ def close_faces(facets):
     return faces
 
 
+def oracle_link_candidates(facets):
+    """Faces equal to the meet of the facets containing them.  Any other
+    face g has a cone link: the vertices of that meet outside g lie in
+    every facet of the link."""
+    facets = [frozenset(f) for f in facets]
+    out = set()
+    for g in close_faces(facets):
+        if frozenset.intersection(*(f for f in facets if g <= f)) == g:
+            out.add(g)
+    return out
+
+
 def oracle_boundary(faces, r):
     """Boundary matrix from r-faces to (r-1)-faces as list rows.
 

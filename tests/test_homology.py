@@ -87,7 +87,7 @@ def test_circle_homology(pentagon):
     assert prof.rank_at(1) == 1 and prof.rank_at(0) == 0
     assert prof.torsion_primes() == ()
     assert reduced_homology(pentagon, "q").nonzero_degrees() == (1,)
-    assert reduced_homology(pentagon, "f2").dim_over(1, 2) == 1
+    assert reduced_homology(pentagon, "f2").rank_at(1) == 1
 
 
 def test_projective_plane_torsion(rp2):
@@ -132,7 +132,7 @@ def test_field_route_matches_reference(cpx, coeff):
     want = oracle_field_betti(oracle_facets(cpx), p)
     prof = reduced_homology(cpx, coeff)
     for d, dim in want.items():
-        assert prof.dim_over(d, p if p else "q") == dim
+        assert prof.rank_at(d) == dim
 
 
 @given(random_flags, st.sampled_from([2, 3, 5]))
@@ -144,7 +144,7 @@ def test_universal_coefficients(cpx, p):
     for d in range(-1, (cpx.dim or 0) + 1):
         tp = sum(1 for t in zprof.torsion_at(d) if t % p == 0)
         tp_prev = sum(1 for t in zprof.torsion_at(d - 1) if t % p == 0)
-        assert fprof.dim_over(d, p) == zprof.rank_at(d) + tp + tp_prev
+        assert fprof.rank_at(d) == zprof.rank_at(d) + tp + tp_prev
 
 
 def test_cone_is_acyclic():
@@ -283,8 +283,6 @@ def test_profile_coeff_mismatch(pentagon):
     prof = reduced_homology(pentagon, "f2")
     with pytest.raises(DomainError):
         prof.cohomology_nonzero_degrees(3)
-    with pytest.raises(DomainError):
-        prof.dim_over(1, 3)
     # field profiles answer rank_at with the field dimension
     assert prof.rank_at(1) == 1 and prof.torsion_at(1) == ()
 

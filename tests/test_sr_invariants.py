@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_hochster_betti, oracle_regularity
+from oracles import (
+    close_faces,
+    oracle_hochster_betti,
+    oracle_link_candidates,
+    oracle_regularity,
+)
 from srcox.complex_core import (
     INF,
     SimplicialComplex,
@@ -14,13 +19,16 @@ from srcox.complex_core import (
     gen_cross_polytope,
     gen_cycle,
     gen_random_flag,
+    gen_rp2_six,
     gen_simplex,
+    mask_of,
 )
 from srcox import sr_invariants
 from srcox.errors import DomainError, ResourceError
 from srcox.homology import (
     entry_coh_degrees,
     integral_subset_scan,
+    profile_from_facets,
     reduced_homology,
 )
 from srcox.sr_invariants import (
@@ -273,6 +281,45 @@ def test_witnesses_are_first_maxima(cpx, field):
             ((f, nonneg(scan[full & ~f])) for f in faces), "face")
         assert rep.rhs_witness == _first_max(
             ((A, nonneg(e)) for A, e in enumerate(scan)), "subset")
+
+
+# -- link candidates -----------------------------------------------------
+
+@st.composite
+def mask_complexes(draw, max_n=9, max_face=None):
+    """Complexes generated by up to 8 random masks on n <= max_n vertices,
+    each mask of at most max_face vertices when that is given."""
+    n = draw(st.integers(1, max_n))
+    mask = st.integers(0, (1 << n) - 1)
+    if max_face is not None:
+        mask = mask.filter(lambda m: m.bit_count() <= max_face)
+    masks = draw(st.lists(mask, min_size=1, max_size=8))
+    return SimplicialComplex.from_masks(n, masks)
+
+
+def _assert_link_candidates_match_oracle(cpx):
+    facets = [frozenset(bits_of(f)) for f in cpx.facets]
+    want = sorted(oracle_link_candidates(facets),
+                  key=lambda g: (len(g), sorted(g)))
+    assert [frozenset(bits_of(g)) for g in link_candidates(cpx)] == want
+    # the link route skips every other face: its link is a cone
+    for g in close_faces(facets) - set(want):
+        link = [mask_of(f - g) for f in facets if g <= f]
+        assert profile_from_facets(link) == ()
+
+
+@given(st.one_of(
+    mask_complexes(),
+    random_flags.map(SimplicialComplex.alexander_dual),
+    mask_complexes(max_n=6, max_face=3).map(SimplicialComplex.face_complex)))
+@settings(max_examples=240)
+def test_link_candidates_match_oracle(cpx):
+    _assert_link_candidates_match_oracle(cpx)
+
+
+def test_link_candidates_match_oracle_named():
+    _assert_link_candidates_match_oracle(gen_rp2_six())
+    _assert_link_candidates_match_oracle(SimplicialComplex(0, [0]))
 
 
 # -- Eagon-Reiner --------------------------------------------------------

@@ -19,7 +19,7 @@ from . import racg
 from . import sr_invariants as sr
 from .complex_core import bits_of, generate, load_cplx
 from .errors import DomainError, ResourceError, SrcoxError
-from .homology import DEFAULT_SCAN_CAP, parse_coeff
+from .homology import DEFAULT_SCAN_CAP, coeff_name, parse_coeff
 
 SCHEMA = 1
 
@@ -276,14 +276,14 @@ def cmd_betti(args, argv):
 
 def cmd_index(args, argv):
     cpx = load_cplx(args.input)
+    report = {"mode": args.mode}
     if args.mode == "combinatorial":
         value = sr.gl_index(cpx)
     else:
-        value = sr.gl_index(cpx, "algebraic", parse_coeff(args.field),
-                            cap=args.cap)
-    report = {"mode": args.mode, "value": value}
-    if args.mode == "algebraic":
-        report["field"] = args.field
+        coeff = parse_coeff(args.field)
+        value = sr.gl_index(cpx, "algebraic", coeff, cap=args.cap)
+        report["field"] = coeff_name(coeff)
+    report["value"] = value
     _emit(args, argv, report, [f"index: {fmt_value(value)}",
                                f"mode: {args.mode}"])
     return 0
@@ -291,9 +291,11 @@ def cmd_index(args, argv):
 
 def cmd_cm(args, argv):
     cpx = load_cplx(args.input)
-    value = sr.is_cohen_macaulay(cpx, parse_coeff(args.field))
-    _emit(args, argv, {"cohen_macaulay": value, "field": args.field},
-          [f"cohen_macaulay: {fmt_value(value)}", f"field: {args.field}"])
+    coeff = parse_coeff(args.field)
+    value = sr.is_cohen_macaulay(cpx, coeff)
+    field = coeff_name(coeff)
+    _emit(args, argv, {"cohen_macaulay": value, "field": field},
+          [f"cohen_macaulay: {fmt_value(value)}", f"field: {field}"])
     return 0
 
 

@@ -588,5 +588,5 @@ def load_cplx(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_cplx(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None

@@ -1,7 +1,9 @@
 """Exact matrix arithmetic: SNF over the integers, rank over Q and F_p.
 
 Every routine works on lists of Python ints, so no entry can overflow
-and results are exact for every input.
+and results are exact for every input.  Each routine copies its input
+and leaves the caller's rows alone.  Smith form is one loop over the
+rows still live; rank is a separate elimination over Q or F_p.
 """
 
 import math
@@ -131,86 +133,59 @@ def is_prime(p):
     return True
 
 
-def _first_unit(A, t, m):
-    """(i, j) of the first entry of absolute value 1 in A[t:, t:] in
-    row-major order, or None.  Entries left of column t in rows t.. are
-    zero, so searching whole rows finds the same entry."""
-    for i in range(t, m):
-        Ai = A[i]
-        js = [Ai.index(u) for u in (1, -1) if u in Ai]
-        if js:
-            return i, min(js)
-    return None
-
-
-def _snf_python(A, m, n):
+def _snf_python(A):
     """Unbounded-integer SNF diagonal of the row lists A, which it
-    reduces in place.  Smallest pivot rule: the pivot is the entry of
-    least absolute value in the remaining submatrix, ties broken by row
-    then column.  A unit is always least, so the search stops at the
-    first one."""
+    reduces in place, as one loop over the rows still live.
+
+    The pivot is the first entry of absolute value 1 in row order, else
+    an entry of least absolute value.  Row operations clear its column,
+    sweeping only the nonzero columns of the pivot row.  Column
+    operations then clear its row; with the column clear they change
+    the pivot row alone.  A smaller remainder left in either becomes
+    the pivot.  A finished pivot row is dropped, with every row that
+    became zero."""
+    live = [r for r in A if any(r)]
     diag = []
-    t = 0
-    kmax = min(m, n)
-    while t < kmax:
-        hit = _first_unit(A, t, m)
-        if hit is None:
-            bi = bj = -1
-            bv = 0
-            for i in range(t, m):
-                Ai = A[i]
-                for j in range(t, n):
-                    v = Ai[j]
-                    if v and (bv == 0 or -bv < v < bv):
-                        bi, bj, bv = i, j, (v if v > 0 else -v)
-            if bi < 0:
+    while live:
+        for i, P in enumerate(live):
+            js = [P.index(u) for u in (1, -1) if u in P]
+            if js:
+                c = min(js)
                 break
         else:
-            bi, bj = hit
+            b = 0
+            for k, R in enumerate(live):
+                for j, v in enumerate(R):
+                    if v and (b == 0 or -b < v < b):
+                        i, c, b = k, j, (v if v > 0 else -v)
         while True:
-            if bi != t:
-                A[t], A[bi] = A[bi], A[t]
-            if bj != t:
-                for row in A:
-                    row[t], row[bj] = row[bj], row[t]
-            At = A[t]
-            if At[t] < 0:
-                At = A[t] = [-x for x in At]
-            piv = At[t]
-            dirty = False
-            # row t is fixed during the row sweep, column t during the
-            # column sweep: only their nonzero positions can change anything
-            cols = [j for j in range(t, n) if At[j]]
-            for i in range(t + 1, m):
-                Ai = A[i]
-                if Ai[t]:
-                    q = Ai[t] // piv
-                    if q:
-                        for j in cols:
-                            Ai[j] -= q * At[j]
-                    if Ai[t]:
-                        dirty = True
-            col_rows = [A[i] for i in range(t, m) if A[i][t]]
-            for j in cols[1:]:
-                q = At[j] // piv
-                if q:
-                    for Ai in col_rows:
-                        Ai[j] -= q * Ai[t]
-                if At[j]:
-                    dirty = True
-            if not dirty:
+            P = live[i]
+            if P[c] < 0:
+                P = live[i] = [-x for x in P]
+            p = P[c]
+            cols = [j for j, x in enumerate(P) if x]
+            bi = -1
+            for k, R in enumerate(live):
+                if R[c] and k != i:
+                    q = R[c] // p
+                    for j in cols:
+                        R[j] -= q * P[j]
+                    if R[c] and (bi < 0 or R[c] < live[bi][c]):
+                        bi = k
+            if bi >= 0:
+                i = bi
+                continue
+            bj = -1
+            for j in cols:
+                if j != c:
+                    v = P[j] = P[j] % p
+                    if v and (bj < 0 or v < P[bj]):
+                        bj = j
+            if bj < 0:
                 break
-            bi, bj, bv = t, t, piv
-            for i in range(t + 1, m):
-                v = A[i][t]
-                if v and -bv < v < bv:
-                    bi, bj, bv = i, t, (v if v > 0 else -v)
-            for j in range(t + 1, n):
-                v = At[j]
-                if v and -bv < v < bv:
-                    bi, bj, bv = t, j, (v if v > 0 else -v)
-        diag.append(A[t][t])
-        t += 1
+            c = bj
+        diag.append(p)
+        live = [R for R in live if R is not P and any(R)]
     changed = True
     while changed:
         changed = False
@@ -225,10 +200,7 @@ def _snf_python(A, m, n):
 
 def smith_normal_form(M):
     """Invariant factors of an integer matrix."""
-    rows, m, n = _as_rows(M)
-    if m == 0 or n == 0:
-        return SnfResult(())
-    return SnfResult(_snf_python(rows, m, n))
+    return SnfResult(_snf_python(_as_rows(M)[0]))
 
 
 def _rank_bareiss(A, m, n):

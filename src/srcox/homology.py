@@ -141,10 +141,10 @@ class HomologyProfile:
         return tuple(e[0] for e in self.entries)
 
     def cohomology_nonzero_degrees(self, coeff=None):
+        coeff = self.coeff if coeff is None else parse_coeff(coeff)
         if self.coeff == "z":
-            return entry_coh_degrees(
-                self.entries, self.coeff if coeff is None else coeff)
-        if coeff not in (None, self.coeff):
+            return entry_coh_degrees(self.entries, coeff)
+        if coeff != self.coeff:
             raise DomainError("field profile queried over a different ring")
         return self.nonzero_degrees()
 

@@ -250,6 +250,27 @@ def test_input_error_codes(capsys, pent_file):
     assert run(capsys, ["construct", pent_file, "--k", "3"])[0] == 2
 
 
+def test_undecodable_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "bytes.cplx"
+    path.write_bytes(b"\xff\xfefacets: a b\n")
+    for argv in (["reg", str(path)], ["betti", str(path), "--format", "json"],
+                 ["dual", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spelling,name", [("Q", "q"), ("F2", "f2"),
+                                           (" f3 ", "f3")])
+def test_field_names_normalised(capsys, rp2_file, spelling, name):
+    for argv in (["cm", rp2_file], ["index", rp2_file, "--mode", "algebraic"]):
+        code, env, _ = jrun(capsys, argv + ["--field", spelling,
+                                            "--format", "json"])
+        assert code == 0 and env["report"]["field"] == name
+    code, out, _ = run(capsys, ["cm", rp2_file, "--field", spelling])
+    assert code == 0 and f"field: {name}\n" in out
+
+
 def test_argparse_behavior(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -90,6 +90,20 @@ def test_circle_homology(pentagon):
     assert reduced_homology(pentagon, "f2").rank_at(1) == 1
 
 
+def test_cohomology_degrees_take_coefficient_codes(rp2):
+    integral = reduced_homology(rp2, "z")
+    field = reduced_homology(rp2, "f2")
+    for prof in (integral, field):
+        assert prof.cohomology_nonzero_degrees("f2") == \
+            prof.cohomology_nonzero_degrees(2) == (1, 2)
+    # H^2(RP^2; Z) = Z/2, which Q does not see
+    assert integral.cohomology_nonzero_degrees("Z") == \
+        integral.cohomology_nonzero_degrees() == (2,)
+    assert integral.cohomology_nonzero_degrees("q") == ()
+    with pytest.raises(DomainError):
+        field.cohomology_nonzero_degrees("f3")
+
+
 def test_projective_plane_torsion(rp2):
     prof = reduced_homology(rp2, "z")
     assert prof.rank_at(1) == 0 and prof.torsion_at(1) == (2,)

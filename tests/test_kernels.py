@@ -3,7 +3,9 @@
 The active path is `exact_linalg.smith_normal_form` and `rank`; the
 reference is the pure-Python textbook code in oracles.py.  Entries run
 up to 2^70, far past int64, and the shapes include matrices whose first
-unit entry is not in the first row, where the pivot search ends early.
+unit entry is not in the first row, where the pivot search ends early,
+rows that die during elimination, and rows like [2, 3] where the pivot
+moves inside the pivot row.
 """
 
 import numpy as np
@@ -39,7 +41,33 @@ def unit_below_first_row(draw):
     return rows[:1] + rest + rows[1:]
 
 
-matrices = st.one_of(arrays, unit_below_first_row())
+@st.composite
+def rows_that_die(draw):
+    """Zero rows and copies or multiples of other rows, shuffled in:
+    elimination turns them to zero and the loop drops them."""
+    rows = draw(arrays)
+    copies = st.sampled_from(rows).flatmap(
+        lambda r: st.sampled_from([-2, -1, 1, 3]).map(
+            lambda k: [k * x for x in r]))
+    extra = draw(st.lists(st.one_of(st.just([0] * len(rows[0])), copies),
+                          min_size=1, max_size=4))
+    return draw(st.permutations(rows + extra))
+
+
+@st.composite
+def remainder_in_pivot_row(draw):
+    """No unit and a least pivot 2 in a row like [2, 3], above rows that
+    are even in its column: the column clears exactly, the pivot row
+    keeps the remainder 1, and the pivot moves inside that row."""
+    rows = draw(_matrices(st.sampled_from([-9, -3, 0, 3, 4, 5])))
+    evens = draw(st.lists(st.sampled_from([-4, 0, 4]),
+                          min_size=len(rows) - 1, max_size=len(rows) - 1))
+    return [[2, 3] + rows[0][1:]] + [[e] + r
+                                     for e, r in zip(evens, rows[1:])]
+
+
+matrices = st.one_of(arrays, unit_below_first_row(), rows_that_die(),
+                     remainder_in_pivot_row())
 
 
 @given(matrices)
@@ -74,6 +102,17 @@ def test_rank_modp_active_vs_python(rows, p):
 @given(matrices)
 def test_bareiss_active_vs_python(rows):
     assert rank(rows, "q") == oracle_rank_fraction(rows)
+
+
+@given(matrices)
+def test_kernels_leave_input_rows_alone(rows):
+    before = [list(r) for r in rows]
+    held = list(rows)
+    smith_normal_form(rows)
+    rank(rows, "q")
+    rank(rows, 2)
+    assert rows == before
+    assert all(a is b for a, b in zip(rows, held))
 
 
 def test_snf_entries_past_int64():

@@ -284,8 +284,10 @@ def cmd_index(args, argv):
         value = sr.gl_index(cpx, "algebraic", coeff, cap=args.cap)
         report["field"] = coeff_name(coeff)
     report["value"] = value
-    _emit(args, argv, report, [f"index: {fmt_value(value)}",
-                               f"mode: {args.mode}"])
+    lines = [f"index: {fmt_value(value)}", f"mode: {args.mode}"]
+    if "field" in report:
+        lines.append(f"field: {report['field']}")
+    _emit(args, argv, report, lines)
     return 0
 
 

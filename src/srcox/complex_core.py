@@ -14,10 +14,8 @@ from .errors import DomainError, InputError, ResourceError
 
 INF = math.inf
 
-# enumeration guard for operations that list every face
+# enumeration guard for listing faces and the nonface candidates they give
 FACE_BUDGET = 1 << 22
-# enumeration guard for minimal_nonfaces, in vertex subsets examined
-NONFACE_SUBSET_BUDGET = 1 << 22
 
 
 def mask_of(vertices):
@@ -226,7 +224,7 @@ class SimplicialComplex:
 
     # -- derived complexes -----------------------------------------------
 
-    def _reindexed(self, facet_masks, keep_label_of=None):
+    def _reindexed(self, facet_masks):
         """Densely reindex the given masks to their own vertex support."""
         support = 0
         for f in facet_masks:
@@ -234,9 +232,7 @@ class SimplicialComplex:
         verts = bits_of(support)
         pos = {v: i for i, v in enumerate(verts)}
         new = [mask_of(pos[v] for v in bits_of(f)) for f in facet_masks]
-        if keep_label_of is None:
-            keep_label_of = self.label_of
-        labels = tuple(keep_label_of(v) for v in verts)
+        labels = tuple(self.label_of(v) for v in verts)
         return SimplicialComplex.from_masks(len(verts), new, labels)
 
     def link(self, sigma):
@@ -262,11 +258,11 @@ class SimplicialComplex:
         idx = {f: i for i, f in enumerate(faces)}
         new_facets = []
         for fac in self.facets:
-            vs = bits_of(fac)
             m = 0
-            for k in range(1, len(vs) + 1):
-                for c in combinations(vs, k):
-                    m |= 1 << idx[mask_of(c)]
+            sub = fac
+            while sub:  # the nonempty subfaces, as in face_closure
+                m |= 1 << idx[sub]
+                sub = (sub - 1) & fac
             new_facets.append(m)
         labels = tuple(self.face_label(f) for f in faces)
         # distinct facets have incomparable sets of subfaces
@@ -275,28 +271,29 @@ class SimplicialComplex:
     def minimal_nonfaces(self):
         """Masks of minimal nonfaces, i.e. generators of the nonface ideal.
 
-        Examines every vertex subset of at most one more vertex than the
-        largest facet; raises ResourceError past NONFACE_SUBSET_BUDGET
-        subsets.
+        Each is a face plus one vertex above all of the face's, so the
+        pass extends every face by every such vertex, meeting each once;
+        past FACE_BUDGET candidates, read at call time, it raises.
         """
         if not self.facets:
             return (0,)  # even the empty set is not a face
-        top = max(f.bit_count() for f in self.facets) + 1
-        total = sum(math.comb(self.n, s) for s in range(1, top + 1))
-        budget = NONFACE_SUBSET_BUDGET
-        examined = 0
+        budget = FACE_BUDGET
+        faces = self.faces()
+        is_face = set(faces)
+        reached = 0
         out = []
-        for s in range(1, top + 1):
-            for c in combinations(range(self.n), s):
-                if examined == budget:
-                    raise ResourceError(
-                        f"minimal nonface budget exhausted: examined "
-                        f"{examined} of {total} subsets")
-                examined += 1
-                m = mask_of(c)
-                if self.contains(m):
-                    continue
-                if all(self.contains(m ^ (1 << v)) for v in c):
+        for i, f in enumerate(faces, 1):
+            above = f.bit_length()  # the least vertex above all of f's
+            reached += self.n - above
+            if reached > budget:
+                raise ResourceError(
+                    f"minimal nonfaces reached {reached} candidates from "
+                    f"{i} of {len(faces)} faces, budget {budget}")
+            vs = bits_of(f)
+            for v in range(above, self.n):
+                m = f | 1 << v
+                if m not in is_face and all(m ^ 1 << u in is_face
+                                            for u in vs):
                     out.append(m)
         return tuple(sorted(out))
 

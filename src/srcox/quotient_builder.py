@@ -208,9 +208,6 @@ def _check_vertex_link(star, expected, group, faces, g):
             if s is None:
                 return False, None
             mapped.append(s)
-        # distinct neighbours must land on distinct faces
-        if len(set(mapped)) != len(mapped):
-            return False, None
         link_facets.add(frozenset(mapped))
     canon = sorted(sorted(sorted(face) for face in fs) for fs in link_facets)
     digest = hashlib.sha256(

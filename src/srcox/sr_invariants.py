@@ -538,20 +538,16 @@ def tower_N(p, r):
         raise DomainError("tower needs p >= 2")
     if r < 2:
         raise DomainError("tower is defined for r >= 2")
+    expr = (f"{p}+3" if r == 2 else
+            f"(2*(2^^{r - 2})+1)^(({p}+2)*N({p},{r - 1})^2)")
     value = p + 3
-    expr = f"{p}+3"
     for level in range(3, r + 1):
-        expr = f"(2*(2^^{level - 2})+1)^(({p}+2)*N({p},{level - 1})^2)"
         t = _twr(level - 2, bit_budget)
-        if t is None or value is None:
-            value = None
-            continue
-        base = 2 * t + 1
         exponent = (p + 2) * value * value
-        if exponent * base.bit_length() > bit_budget:
-            value = None
-        else:
-            value = base ** exponent
+        if t is None or exponent * (2 * t + 1).bit_length() > bit_budget:
+            value = None  # and so at every later level
+            break
+        value = (2 * t + 1) ** exponent
     return TowerN(p, r, expr, value)
 
 

@@ -169,6 +169,19 @@ def oracle_link_candidates(facets):
     return out
 
 
+def oracle_minimal_nonfaces(facets, n):
+    """Vertex sets in 0..n-1 outside the complex generated by `facets`
+    whose every one-smaller subset is a face.  Such a set less any one
+    of its vertices is a face, so only face-plus-vertex sets are tried,
+    apart from the void complex, whose one minimal nonface is empty."""
+    faces = close_faces(facets)
+    if not faces:
+        return {frozenset()}
+    tried = {f | {v} for f in faces for v in range(n)}
+    return {c for c in tried
+            if c not in faces and all(c - {u} in faces for u in c)}
+
+
 def oracle_boundary(faces, r):
     """Boundary matrix from r-faces to (r-1)-faces as list rows.
 

@@ -7,8 +7,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "srcox"
-BUDGETS = {"FACE_BUDGET", "NONFACE_SUBSET_BUDGET", "CANDIDATE_CAP",
-           "TOWER_BIT_BUDGET"}
+BUDGETS = {"FACE_BUDGET", "CANDIDATE_CAP", "TOWER_BIT_BUDGET"}
 
 
 def _trees():

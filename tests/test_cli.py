@@ -73,6 +73,14 @@ def test_reg_text(capsys, pent_file):
     assert code == 0 and "regularity: 2" in out
 
 
+def test_reg_text_void(capsys, tmp_path):
+    path = tmp_path / "void.cplx"
+    path.write_text("")
+    code, out, _ = run(capsys, ["reg", str(path)])
+    assert code == 0
+    assert out == "regularity: 0\nfield: q\nmethod: induced\nvoid: true\n"
+
+
 def test_betti_grid(capsys, pent_file):
     code, out, _ = run(capsys, ["betti", pent_file])
     assert code == 0 and "projdim: 3" in out
@@ -80,10 +88,10 @@ def test_betti_grid(capsys, pent_file):
 
 def test_index_modes(capsys, pent_file):
     code, out, _ = run(capsys, ["index", pent_file])
-    assert code == 0 and "index: 2" in out
+    assert code == 0 and "index: 2" in out and "field:" not in out
     code, out, _ = run(capsys,
                        ["index", pent_file, "--mode", "algebraic"])
-    assert code == 0 and "index: 2" in out
+    assert code == 0 and out == "index: 2\nmode: algebraic\nfield: q\n"
 
 
 def test_cm_fields(capsys, rp2_file):
@@ -128,13 +136,27 @@ def test_dual_and_facecomplex_files(capsys, pent_file, tmp_path):
 
 
 def test_nonface_budget_exits_3(capsys, monkeypatch, rp2_file, pent_file):
-    monkeypatch.setattr(complex_core, "NONFACE_SUBSET_BUDGET", 10)
-    for command, path in (("largeness", rp2_file), ("dual", rp2_file),
-                          ("dual", pent_file)):
+    # rp2 has 32 faces and 49 nonface candidates, the pentagon 11 and 21:
+    # one candidate past the budget stops the pass
+    for budget, command, path, want in (
+            (48, "largeness", rp2_file, "49 candidates from 29 of 32"),
+            (48, "dual", rp2_file, "49 candidates from 29 of 32"),
+            (20, "dual", pent_file, "21 candidates from 10 of 11")):
+        monkeypatch.setattr(complex_core, "FACE_BUDGET", budget)
         code, out, err = run(capsys, [command, path])
         assert code == 3 and not out
-        assert "examined 10 of" in err
+        assert f"reached {want} faces, budget {budget}" in err
     code, out, _ = run(capsys, ["largeness", pent_file])
+    assert code == 0 and "min_nonface_size: 2" in out
+
+
+def test_rp2_face_complex_dual_and_largeness(capsys, rp2_file, tmp_path):
+    fc = str(tmp_path / "fc.cplx")
+    assert main(["facecomplex", rp2_file, "--out", fc]) == 0
+    code, env, _ = jrun(capsys, ["dual", fc, "--format", "json"])
+    assert code == 0
+    assert env["report"]["n"] == 31 and len(env["report"]["facets"]) == 325
+    code, out, _ = run(capsys, ["largeness", fc])
     assert code == 0 and "min_nonface_size: 2" in out
 
 
@@ -191,6 +213,20 @@ def test_coxeter_table(capsys, two_file):
     assert code == 0 and "total: 9" in out
 
 
+def test_coxeter_table_stops_when_group_is_used_up(capsys, tmp_path):
+    # a 2-simplex nerve: the group is (Z/2)^3, eight elements, and the
+    # ball stops growing before --max-len
+    path = tmp_path / "tri.cplx"
+    path.write_text("a b c\n")
+    for opts, counts in (([], [1, 3, 3, 1]), (["--set", "spherical"], [1, 7])):
+        code, env, _ = jrun(capsys, ["coxeter-table", str(path), *opts,
+                                     "--format", "json"])
+        assert code == 0 and env["report"]["complete"]
+        assert [lv["count"] for lv in env["report"]["levels"]] == counts
+        code, out, _ = run(capsys, ["coxeter-table", str(path), *opts])
+        assert code == 0 and out.endswith("total: 8\n")
+
+
 def test_coxeter_search_exit_codes(capsys, pent_file):
     code, out, _ = run(
         capsys, ["coxeter-search", pent_file, "--mod", "7", "--k", "5"])
@@ -231,6 +267,14 @@ def test_construct_rejection_and_budget(capsys, pent_file, two_file):
                                  "--format", "json"])
     assert code == 3
     assert env["report"]["certificate"]["displacement_status"] == "UNDECIDED"
+
+
+def test_construct_group_budget_exits_3(capsys, two_file):
+    # the image group has no certificate to report: a plain budget error
+    code, out, err = run(capsys, ["construct", two_file, "--k", "4",
+                                  "--mod", "5", "--group-budget", "3"])
+    assert code == 3 and not out
+    assert err == "error: image group exceeded budget 3 elements\n"
 
 
 def test_construct_default_modulus_long_girth(capsys, two_file):
@@ -707,9 +751,9 @@ TEXT_DIGESTS = {
     "index rp2_six --mode combinatorial":
         "e055ac1e0ad9e7f1382cd14b190a48f0937cb8ae71a2cee0d9d1e6ded97f2d75",
     "index pentagon --mode algebraic --field q":
-        "b9fabd8fc329efa221c8acc98555319ba7eaee39ded871650c04582a615f6cf9",
+        "8f76d2d3f0b3ca1bd62cde3ef00901025aa06ba782d5cbc6e735b46630446534",
     "index rp2_six --mode algebraic --field f2":
-        "921c966ead7172f49c02c219f47c3d2006257dabc8fcf72a21a7fde26a2d30cf",
+        "b5a77d6dafa36b53710e47a1d03d7d4d8b2a68c56ac0daf9b01c515873b8f785",
     "cm rp2_six --field q":
         "e0bfb382f6c2df5a4d83d20720ed72358486a52c605bc445b64ff8fa9711e99f",
     "cm rp2_six --field f2":

@@ -3,11 +3,12 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     close_faces,
     induced_facets,
+    oracle_minimal_nonfaces,
     oracle_shortest_induced_cycle,
 )
 from srcox import complex_core
@@ -224,6 +225,43 @@ def test_minimal_nonfaces(pentagon):
     assert SimplicialComplex(0, []).minimal_nonfaces() == (0,)
 
 
+@st.composite
+def spare_vertex_complexes(draw):
+    """Complexes from up to 8 masks on n <= 9 vertices, one drawn vertex
+    cleared from every mask: a vertex in no facet is a minimal nonface."""
+    n = draw(st.integers(1, 9))
+    spare = draw(st.integers(0, n - 1))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    return SimplicialComplex.from_masks(n, [m & ~(1 << spare)
+                                            for m in masks])
+
+
+def _assert_minimal_nonfaces_match_oracle(cpx):
+    got = cpx.minimal_nonfaces()
+    assert list(got) == sorted(set(got))
+    want = oracle_minimal_nonfaces([bits_of(f) for f in cpx.facets], cpx.n)
+    assert {frozenset(bits_of(m)) for m in got} == want
+
+
+@given(st.one_of(
+    spare_vertex_complexes(),
+    mask_lists.map(lambda case: SimplicialComplex.from_masks(*case)),
+    random_flags,
+    random_flags.map(SimplicialComplex.alexander_dual),
+    st.builds(gen_random_flag, st.integers(1, 4), st.floats(0, 1),
+              st.integers(0, 10 ** 6)).map(SimplicialComplex.face_complex)))
+@settings(max_examples=240)
+def test_minimal_nonfaces_match_oracle(cpx):
+    _assert_minimal_nonfaces_match_oracle(cpx)
+
+
+def test_minimal_nonfaces_match_oracle_named(rp2):
+    for cpx in (rp2, rp2.face_complex(), SimplicialComplex(3, [0]),
+                SimplicialComplex(3, [])):
+        _assert_minimal_nonfaces_match_oracle(cpx)
+    assert len(rp2.face_complex().minimal_nonfaces()) == 325
+
+
 def test_alexander_dual_pentagon(pentagon):
     dual = pentagon.alexander_dual()
     # complements of the five chords: five triangles
@@ -333,17 +371,21 @@ def test_non_flag_min_nonface_frozen(rp2):
 
 
 def test_minimal_nonfaces_budget(monkeypatch, rp2, pentagon):
-    # rp2 has 6 vertices and triangles: subsets of sizes 1..4, 56 of them
-    monkeypatch.setattr(complex_core, "NONFACE_SUBSET_BUDGET", 10)
-    with pytest.raises(ResourceError, match="examined 10 of 56 subsets"):
+    # each face of rp2 is extended by each vertex above its top one: 49
+    # candidates from its 32 faces
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 48)
+    with pytest.raises(ResourceError, match="reached 49 candidates from "
+                                            "29 of 32 faces, budget 48"):
         rp2.minimal_nonfaces()
     with pytest.raises(ResourceError):
         rp2.largeness()
-    with pytest.raises(ResourceError):
+    # the pentagon: 21 candidates from its 11 faces
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 20)
+    with pytest.raises(ResourceError, match="reached 21 candidates"):
         pentagon.alexander_dual()
     # flag largeness reads the adjacency and enumerates nothing
     assert pentagon.largeness().min_nonface_size == 2
-    monkeypatch.setattr(complex_core, "NONFACE_SUBSET_BUDGET", 56)
+    monkeypatch.setattr(complex_core, "FACE_BUDGET", 49)
     assert len(rp2.minimal_nonfaces()) == 10
 
 

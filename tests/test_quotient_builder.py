@@ -122,6 +122,20 @@ def test_facet_cells_thicken_like_every_face(text, m):
         group.order, [mask_of(c) for c in cells])
 
 
+def test_vertex_link_rejects_unreached_neighbour(free_rep):
+    group = image_group(free_rep, 5)
+    faces = qb._spherical_faces(free_rep, group)
+    reached = {group.times(0, s) for s in faces}
+    expected = {frozenset([s]) for s in faces}
+    star = [1 | 1 << h for h in sorted(reached)]
+    ok, digest = qb._check_vertex_link(star, expected, group, faces, 0)
+    assert ok and digest is not None
+    # a neighbour that no spherical face reaches from vertex 0
+    far = min(set(range(1, group.order)) - reached)
+    assert qb._check_vertex_link(star + [1 | 1 << far], expected, group,
+                                 faces, 0) == (False, None)
+
+
 def test_quotient_rejects_foreign_rep(free_rep):
     other = build_system(SimplicialComplex.from_facets([], ["x", "y"]))
     g = image_group(free_rep, 5)

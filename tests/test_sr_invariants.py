@@ -445,6 +445,14 @@ def test_tower_frozen():
         tower_N(2, 1)
 
 
+def test_tower_stops_at_first_dropped_level():
+    # N(2, 4) already passes the bit budget, so the loop ends there
+    # instead of running on to level 10^9
+    t = tower_N(2, 10 ** 9)
+    assert t.value is None
+    assert t.expr == "(2*(2^^999999998)+1)^((2+2)*N(2,999999999)^2)"
+
+
 def test_tower_bit_budget_read_when_called(monkeypatch):
     monkeypatch.setattr(sr_invariants, "TOWER_BIT_BUDGET", 100)
     t = tower_N(2, 3)  # 5^100 has 233 bits

@@ -256,10 +256,10 @@ def test_minimal_nonfaces_match_oracle(cpx):
 
 
 def test_minimal_nonfaces_match_oracle_named(rp2):
-    for cpx in (rp2, rp2.face_complex(), SimplicialComplex(3, [0]),
-                SimplicialComplex(3, [])):
+    fc = rp2.face_complex()
+    for cpx in (rp2, fc, SimplicialComplex(3, [0]), SimplicialComplex(3, [])):
         _assert_minimal_nonfaces_match_oracle(cpx)
-    assert len(rp2.face_complex().minimal_nonfaces()) == 325
+    assert len(fc.minimal_nonfaces()) == 325
 
 
 def test_alexander_dual_pentagon(pentagon):
